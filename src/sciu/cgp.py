@@ -5,6 +5,10 @@ Each active sample records s = weight * prob once per post-warm-up epoch.
 Once a sample has a full window of t scores, its trailing mean S_T is
 compared against lambda: keep iff S_T > lambda. Pruning is permanent for
 the remainder of the stage.
+
+`ScoreHistory`, `trailing_mean` and `prune_decision` state the rule for one
+sample; `apply_pruning` applies it to every active sample at once, from the
+(n, t) score windows of a `PruneState`.
 """
 
 from __future__ import annotations
@@ -12,8 +16,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .dataset import Dataset
 from .errors import ConfigurationError, LogicError, ValidationError
+from .window import RingWindows
 
 
 @dataclass
@@ -48,18 +55,22 @@ def prune_decision(s_t: float, lam: float) -> bool:
 
 @dataclass
 class PruneState:
+    """Pruning state of one stage; `windows` holds each scored sample's
+    last t scores (see `sciu.window`)."""
+
     lam: float
     window: int
     warmup_epochs: int
-    histories: dict[int, ScoreHistory] = field(default_factory=dict)
     pruned_ids: set[int] = field(default_factory=set)
     prune_log: list[dict] = field(default_factory=list)
+    windows: RingWindows = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.lam < 1.0):
             raise ConfigurationError("lambda must be in (0, 1)")
         if self.window < 1:
             raise ConfigurationError("window must be >= 1")
+        self.windows = RingWindows(self.window, scores=np.float64)
 
 
 def record_score(
@@ -71,10 +82,8 @@ def record_score(
         raise ValidationError(f"weight {weight} outside (0, 1)")
     if not (0.0 <= prob_of_label <= 1.0):
         raise ValidationError(f"prob {prob_of_label} outside [0, 1]")
-    hist = state.histories.get(sample_id)
-    if hist is None:
-        hist = state.histories[sample_id] = ScoreHistory(sample_id, state.window)
-    hist.record(weight * prob_of_label)
+    row, col = state.windows.slot(sample_id)
+    state.windows.views["scores"][row, col] = weight * prob_of_label
 
 
 def apply_pruning(
@@ -82,25 +91,22 @@ def apply_pruning(
 ) -> tuple[Dataset, set[int]]:
     """Evaluate ready trailing means; move failing samples to pruned_ids.
 
-    Returns (D3 = active remainder, ids newly pruned this call). No-op for
-    epochs inside the warm-up phase.
+    Every active sample with a full window is decided at once. Returns
+    (D3 = active remainder, ids newly pruned this call). No-op for epochs
+    inside the warm-up phase.
     """
+    ids = dataset.id_array
+    pruned = np.isin(ids, np.fromiter(state.pruned_ids, np.int64, len(state.pruned_ids)))
     newly_pruned: set[int] = set()
     if epoch >= state.warmup_epochs:
-        for s in dataset.samples:
-            if s.id in state.pruned_ids:
-                continue
-            hist = state.histories.get(s.id)
-            if hist is None:
-                continue
-            s_t = trailing_mean(hist)
-            if s_t is None:
-                continue
-            if not prune_decision(s_t, state.lam):
-                newly_pruned.add(s.id)
-                state.prune_log.append(
-                    {"epoch": epoch, "sample_id": s.id, "S_T": s_t, "lambda": state.lam}
-                )
+        pos, rows = state.windows.full_rows(ids, exclude=pruned)
+        s_t = state.windows.mean("scores", rows)
+        drop = ~(s_t > state.lam)  # prune_decision, for every ready sample
+        for sid, mean in zip(ids[pos[drop]].tolist(), s_t[drop].tolist()):
+            newly_pruned.add(sid)
+            state.prune_log.append(
+                {"epoch": epoch, "sample_id": sid, "S_T": mean, "lambda": state.lam}
+            )
         state.pruned_ids |= newly_pruned
-    d3 = dataset.subset(i for i in dataset.ids if i not in state.pruned_ids)
-    return d3, newly_pruned
+        pruned[pos[drop]] = True
+    return dataset.subset(ids[~pruned]), newly_pruned

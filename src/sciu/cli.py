@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 
 from .dataset import QUALITY_LOW, save_dataset
 from .errors import (
@@ -83,11 +82,9 @@ def _cmd_generate(args) -> int:
     )
     dataset = generate(config)
     save_dataset(dataset, args.out)
-    n_low = sum(1 for s in dataset.samples if s.quality_flag == QUALITY_LOW)
-    n_mis = sum(
-        1 for s in dataset.samples
-        if s.true_label is not None and s.label != s.true_label
-    )
+    samples = dataset.samples
+    n_low = sum(1 for s in samples if s.quality_flag == QUALITY_LOW)
+    n_mis = sum(1 for s in samples if s.true_label is not None and s.label != s.true_label)
     print(f"wrote {len(dataset)} samples to {args.out}")
     print(f"classes: {dataset.n_classes}  dim: {dataset.dim}")
     print(f"low_quality: {n_low}  mislabeled: {n_mis}  "

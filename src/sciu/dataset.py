@@ -14,7 +14,7 @@ Training code must never read them; they are only reachable through the
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -61,90 +61,178 @@ class CorrectionEvent:
         }
 
 
-@dataclass
-class Dataset:
-    samples: list[Sample]
-    n_classes: int
-    dim: int
-    _features: np.ndarray = field(default=None, repr=False, compare=False)
+_QUALITY_CODES = {None: -1, QUALITY_CLEAN: 0, QUALITY_LOW: 1}
+_QUALITY_NAMES = {code: name for name, code in _QUALITY_CODES.items()}
 
-    def __post_init__(self):
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _columns(samples: list[Sample], dim: int) -> tuple[np.ndarray, ...]:
+    """(ids, features, labels, true_labels, quality codes) of `samples`.
+
+    Rejects what the columns could not hold as given: a non-integer id,
+    label or true_label (an int64 column would truncate 0.5 to 0), a
+    negative true_label (-1 marks an absent one), an unknown quality flag
+    and a feature vector of the wrong shape.
+    """
+    for s in samples:
+        if not _is_int(s.id):
+            raise ValidationError(f"sample id {s.id!r} is not an integer")
+        if not _is_int(s.label):
+            raise ValidationError(f"sample {s.id}: label {s.label!r} is not an integer")
+        if s.true_label is not None and not (_is_int(s.true_label) and s.true_label >= 0):
+            raise ValidationError(
+                f"sample {s.id}: true_label {s.true_label!r} is not a class index"
+            )
+        if not isinstance(s.quality_flag, (str, type(None))) or \
+                s.quality_flag not in _QUALITY_CODES:
+            raise ValidationError(f"sample {s.id}: unknown quality_flag {s.quality_flag!r}")
+        if s.features.shape != (dim,):
+            raise ValidationError(
+                f"sample {s.id}: feature dim {s.features.shape} != ({dim},)"
+            )
+    try:
+        return (
+            np.array([s.id for s in samples], dtype=np.int64),
+            np.stack([s.features for s in samples]) if samples else np.zeros((0, dim)),
+            np.array([s.label for s in samples], dtype=np.int64),
+            np.array([-1 if s.true_label is None else s.true_label for s in samples],
+                     dtype=np.int64),
+            np.array([_QUALITY_CODES[s.quality_flag] for s in samples], dtype=np.int8),
+        )
+    except OverflowError as e:
+        raise ValidationError(f"sample id or label out of int64 range: {e}") from e
+
+
+class Dataset:
+    """Samples stored column-wise: ids (n,), features (n, dim), labels (n,)
+    and the two oracle columns (-1 where a sample has no oracle value).
+
+    Built from `Sample`s and validated once; `subset`, `with_labels` and
+    `stratified_split` gather from columns that are already valid. The
+    columns are read-only, so the accessors return them without copying.
+    """
+
+    def __init__(self, samples: Iterable[Sample], n_classes: int, dim: int):
+        self.n_classes = n_classes
+        self.dim = dim
+        self._set_columns(*_columns(list(samples), dim))
         self.validate()
 
+    def _set_columns(self, ids, features, labels, true_labels, quality) -> None:
+        self.id_array = _readonly(ids)
+        self._features = _readonly(features)
+        self._labels = _readonly(labels)
+        self._true_labels = _readonly(true_labels)
+        self._quality = _readonly(quality)
+
+    def _derive(self, ids, features, labels, true_labels, quality) -> "Dataset":
+        """A dataset over columns gathered from this one (no validation)."""
+        out = object.__new__(Dataset)
+        out.n_classes, out.dim = self.n_classes, self.dim
+        out._set_columns(ids, features, labels, true_labels, quality)
+        return out
+
+    def _take(self, index: np.ndarray) -> "Dataset":
+        return self._derive(
+            self.id_array[index], self._features[index], self._labels[index],
+            self._true_labels[index], self._quality[index],
+        )
+
     def validate(self) -> None:
-        ids = set()
-        for s in self.samples:
-            if s.id in ids:
-                raise ValidationError(f"duplicate sample id {s.id}")
-            ids.add(s.id)
-            if not (0 <= s.label < self.n_classes):
-                raise ValidationError(
-                    f"sample {s.id}: label {s.label} out of range [0, {self.n_classes})"
-                )
-            if s.true_label is not None and not (0 <= s.true_label < self.n_classes):
-                raise ValidationError(
-                    f"sample {s.id}: true_label {s.true_label} out of range"
-                )
-            if s.quality_flag is not None and s.quality_flag not in (
-                QUALITY_CLEAN,
-                QUALITY_LOW,
-            ):
-                raise ValidationError(
-                    f"sample {s.id}: unknown quality_flag {s.quality_flag!r}"
-                )
-            if s.features.shape != (self.dim,):
-                raise ValidationError(
-                    f"sample {s.id}: feature dim {s.features.shape} != ({self.dim},)"
-                )
-            if not np.all(np.isfinite(s.features)):
-                raise ValidationError(f"sample {s.id}: non-finite features")
+        """Distinct ids, labels in [0, n_classes) and finite features."""
+        ids = self.id_array
+        _, first = np.unique(ids, return_index=True)
+        if len(first) < len(ids):
+            repeat = np.ones(len(ids), dtype=bool)
+            repeat[first] = False
+            raise ValidationError(f"duplicate sample id {ids[repeat.argmax()]}")
+        bad = (self._labels < 0) | (self._labels >= self.n_classes)
+        if bad.any():
+            i = bad.argmax()
+            raise ValidationError(
+                f"sample {ids[i]}: label {self._labels[i]} out of range [0, {self.n_classes})"
+            )
+        bad = self._true_labels >= self.n_classes
+        if bad.any():
+            i = bad.argmax()
+            raise ValidationError(
+                f"sample {ids[i]}: true_label {self._true_labels[i]} out of range"
+            )
+        bad = ~np.isfinite(self._features).all(axis=1)
+        if bad.any():
+            raise ValidationError(f"sample {ids[bad.argmax()]}: non-finite features")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.id_array)
+
+    def __repr__(self) -> str:
+        return f"Dataset(n={len(self)}, n_classes={self.n_classes}, dim={self.dim})"
 
     @property
     def ids(self) -> list[int]:
-        return [s.id for s in self.samples]
+        return self.id_array.tolist()
+
+    @property
+    def samples(self) -> list[Sample]:
+        """The rows as `Sample`s, built on each access (for I/O and tests)."""
+        return [
+            Sample(i, f, lab, None if t < 0 else t, _QUALITY_NAMES[q])
+            for i, f, lab, t, q in zip(
+                self.ids, self._features, self._labels.tolist(),
+                self._true_labels.tolist(), self._quality.tolist(),
+            )
+        ]
 
     def features_matrix(self) -> np.ndarray:
-        """All features stacked row-wise, cached (samples are immutable)."""
-        if self._features is None:
-            if self.samples:
-                self._features = np.stack([s.features for s in self.samples])
-            else:
-                self._features = np.zeros((0, self.dim))
         return self._features
 
     def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=np.int64)
+        return self._labels
 
     def subset(self, keep_ids: Iterable[int]) -> "Dataset":
-        keep = set(keep_ids)
-        return Dataset(
-            [s for s in self.samples if s.id in keep], self.n_classes, self.dim
-        )
+        """The samples whose id is in `keep_ids`, in this dataset's order."""
+        keep = np.isin(self.id_array, np.fromiter(keep_ids, dtype=np.int64))
+        return self._take(np.flatnonzero(keep))
 
     def with_labels(self, new_labels: dict[int, int]) -> "Dataset":
         """New dataset with the given sample labels replaced."""
-        out = [
-            replace(s, label=new_labels[s.id]) if s.id in new_labels else s
-            for s in self.samples
-        ]
-        return Dataset(out, self.n_classes, self.dim)
+        for sid, lab in new_labels.items():
+            if not (_is_int(lab) and 0 <= lab < self.n_classes):
+                raise ValidationError(
+                    f"sample {sid}: label {lab!r} out of range [0, {self.n_classes})"
+                )
+        hit = np.flatnonzero(np.isin(self.id_array, list(new_labels)))
+        labels = self._labels.copy()
+        labels[hit] = [new_labels[i] for i in self.id_array[hit].tolist()]
+        return self._derive(
+            self.id_array, self._features, labels, self._true_labels, self._quality
+        )
 
     def without_oracle_fields(self) -> "Dataset":
-        return Dataset(
-            [replace(s, true_label=None, quality_flag=None) for s in self.samples],
-            self.n_classes,
-            self.dim,
+        absent = _readonly(np.full(len(self), -1, dtype=np.int64))
+        return self._derive(
+            self.id_array, self._features, self._labels, absent, absent.astype(np.int8)
         )
 
     # Oracle accessors -- evaluation only, never used on a training path.
     def oracle_true_labels(self) -> dict[int, Optional[int]]:
-        return {s.id: s.true_label for s in self.samples}
+        return {
+            i: None if t < 0 else t
+            for i, t in zip(self.ids, self._true_labels.tolist())
+        }
 
     def oracle_quality_flags(self) -> dict[int, Optional[str]]:
-        return {s.id: s.quality_flag for s in self.samples}
+        return {
+            i: _QUALITY_NAMES[q] for i, q in zip(self.ids, self._quality.tolist())
+        }
 
 
 def _fmt_float(x: float) -> str:
@@ -163,7 +251,7 @@ def save_dataset(dataset: Dataset, path) -> None:
         )
     ]
     for s in dataset.samples:
-        feats = ",".join(_fmt_float(v) for v in s.features)
+        feats = ",".join(_fmt_float(v) for v in s.features.tolist())
         parts = [f'"id":{s.id}', f'"features":[{feats}]', f'"label":{s.label}']
         if s.true_label is not None:
             parts.append(f'"true_label":{s.true_label}')
@@ -186,8 +274,11 @@ def load_dataset(path) -> Dataset:
         raise ParseError(f"{path}:1: malformed header: {e}") from e
     if not isinstance(header, dict) or header.get("format") != "sciu-dataset":
         raise ParseError(f"{path}:1: not a sciu-dataset header")
-    n_classes = header["n_classes"]
-    dim = header["dim"]
+    for key in ("n_classes", "dim"):
+        if key not in header:
+            raise ParseError(f"{path}:1: header has no {key!r}")
+        if not _is_int(header[key]) or header[key] < 0:
+            raise ParseError(f"{path}:1: {key} {header[key]!r} is not a non-negative integer")
     samples = []
     for lineno, line in enumerate(raw_lines[1:], start=2):
         if not line.strip():
@@ -196,11 +287,13 @@ def load_dataset(path) -> Dataset:
             rec = json.loads(line)
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}:{lineno}: malformed record: {e}") from e
+        if not isinstance(rec, dict):
+            raise ParseError(f"{path}:{lineno}: record is not an object")
         try:
             samples.append(
                 Sample(
                     id=rec["id"],
-                    features=np.array(rec["features"], dtype=np.float64),
+                    features=rec["features"],
                     label=rec["label"],
                     true_label=rec.get("true_label"),
                     quality_flag=rec.get("quality_flag"),
@@ -208,33 +301,31 @@ def load_dataset(path) -> Dataset:
             )
         except KeyError as e:
             raise ParseError(f"{path}:{lineno}: missing field {e}") from e
-    return Dataset(samples, n_classes=n_classes, dim=dim)
+        except (TypeError, ValueError) as e:
+            raise ParseError(f"{path}:{lineno}: features are not numbers: {e}") from e
+    return Dataset(samples, n_classes=header["n_classes"], dim=header["dim"])
 
 
 def stratified_split(
     dataset: Dataset, train_fraction: float, seed: int
 ) -> tuple[Dataset, Dataset]:
-    """Per-class split preserving class proportions within one sample."""
+    """Per-class split preserving class proportions within one sample.
+
+    Classes are taken in ascending order, each as its samples in dataset
+    order; both halves come out sorted by id.
+    """
     if not (0.0 < train_fraction < 1.0):
         raise ValidationError("train_fraction must be in (0, 1)")
-    by_class: dict[int, list[Sample]] = {}
-    for s in dataset.samples:
-        by_class.setdefault(s.label, []).append(s)
+    labels = dataset.labels()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5B117]))
-    train, test = [], []
-    for c in sorted(by_class):
-        group = by_class[c]
+    in_train = np.zeros(len(dataset), dtype=bool)
+    for c in np.unique(labels).tolist():
+        group = np.flatnonzero(labels == c)
         if len(group) < 2:
             raise ValidationError(f"class {c} has fewer than 2 samples, cannot split")
         order = rng.permutation(len(group))
         n_train = int(round(train_fraction * len(group)))
         n_train = min(max(n_train, 1), len(group) - 1)
-        chosen = set(order[:n_train])
-        for i, s in enumerate(group):
-            (train if i in chosen else test).append(s)
-    train.sort(key=lambda s: s.id)
-    test.sort(key=lambda s: s.id)
-    return (
-        Dataset(train, dataset.n_classes, dataset.dim),
-        Dataset(test, dataset.n_classes, dataset.dim),
-    )
+        in_train[group[order[:n_train]]] = True
+    by_id = np.argsort(dataset.id_array)
+    return dataset._take(by_id[in_train[by_id]]), dataset._take(by_id[~in_train[by_id]])

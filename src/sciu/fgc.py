@@ -7,6 +7,11 @@ probability by strictly more than tau.
 
 Accepted samples take the stable predicted label; their history is cleared
 so at least t further epochs must pass before they can be corrected again.
+
+`PredictionHistory` with `label_stable`, `score_gap` and
+`correction_decision` state the rule for one sample; `apply_corrections`
+applies it to every sample at once, from the (n, t) prediction windows of a
+`CorrectionState`.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import numpy as np
 
 from .dataset import CorrectionEvent, Dataset
 from .errors import ConfigurationError, LogicError
+from .window import RingWindows
 
 
 @dataclass
@@ -66,16 +72,23 @@ def correction_decision(history: PredictionHistory, tau: float) -> bool:
 
 @dataclass
 class CorrectionState:
+    """Correction state of one stage; `windows` holds each recorded
+    sample's last t predicted labels, their probabilities and the
+    probabilities of the annotated label (see `sciu.window`)."""
+
     tau: float
     window: int
-    histories: dict[int, PredictionHistory] = field(default_factory=dict)
     corrections: list[CorrectionEvent] = field(default_factory=list)
+    windows: RingWindows = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.tau < 1.0):
             raise ConfigurationError("tau must be in (0, 1)")
         if self.window < 1:
             raise ConfigurationError("window must be >= 1")
+        self.windows = RingWindows(
+            self.window, preds=np.int64, p_pred=np.float64, p_gt=np.float64
+        )
 
 
 def record_prediction(
@@ -88,11 +101,12 @@ def record_prediction(
     """Store argmax label (ties -> lowest index), its probability, and the
     probability of the current annotated label."""
     probs = np.asarray(probs, dtype=np.float64)
-    y_pred = int(np.argmax(probs))
-    hist = state.histories.get(sample_id)
-    if hist is None:
-        hist = state.histories[sample_id] = PredictionHistory(sample_id, state.window)
-    hist.record(y_pred, float(probs[y_pred]), float(probs[gt_label]))
+    y_pred = int(probs.argmax())
+    row, col = state.windows.slot(sample_id)
+    view = state.windows.views
+    view["preds"][row, col] = y_pred
+    view["p_pred"][row, col] = probs[y_pred]
+    view["p_gt"][row, col] = probs[gt_label]
 
 
 def apply_corrections(
@@ -100,20 +114,26 @@ def apply_corrections(
 ) -> tuple[Dataset, list[CorrectionEvent]]:
     """Relabel every accepted sample with its stable prediction.
 
-    Returns (D4 with the same sample ids, events for this call). Each
-    corrected sample's history is cleared.
+    Every sample with a full window is decided at once. Returns (D4 with
+    the same sample ids, events for this call). Each corrected sample's
+    history is cleared.
     """
-    new_labels: dict[int, int] = {}
-    events: list[CorrectionEvent] = []
-    for s in dataset.samples:
-        hist = state.histories.get(s.id)
-        if hist is None:
-            continue
-        if correction_decision(hist, state.tau):
-            new_label = hist.entries[0][0]
-            events.append(CorrectionEvent(s.id, s.label, new_label, epoch))
-            new_labels[s.id] = new_label
-            hist.clear()
+    w = state.windows
+    pos, rows = w.full_rows(dataset.id_array)
+    preds = w.buffers["preds"][rows]
+    stable = (preds == preds[:, :1]).all(axis=1)  # label_stable
+    gap = w.mean("p_pred", rows) - w.mean("p_gt", rows)  # score_gap
+    accept = stable & (gap > state.tau)  # correction_decision
+    events = [
+        CorrectionEvent(sid, old, new, epoch)
+        for sid, old, new in zip(
+            dataset.id_array[pos[accept]].tolist(),
+            dataset.labels()[pos[accept]].tolist(),
+            preds[accept, 0].tolist(),
+        )
+    ]
+    w.clear(rows[accept])
     state.corrections.extend(events)
-    d4 = dataset.with_labels(new_labels) if new_labels else dataset
-    return d4, events
+    if not events:
+        return dataset, events
+    return dataset.with_labels({e.sample_id: e.new_label for e in events}), events

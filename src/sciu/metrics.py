@@ -29,10 +29,17 @@ class ConfusionMatrix:
     def from_predictions(
         cls, true: Sequence[int], pred: Sequence[int], n_classes: int
     ) -> "ConfusionMatrix":
-        counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-        for t, p in zip(true, pred):
-            counts[t, p] += 1
-        return cls(n_classes, counts)
+        true, pred = np.asarray(true), np.asarray(pred)
+        if true.shape != pred.shape or true.ndim != 1:
+            raise EvaluationError(
+                f"{true.shape} true labels against {pred.shape} predictions"
+            )
+        for name, v in (("true", true), ("predicted", pred)):
+            if v.size and (v.dtype.kind not in "iu" or v.min() < 0 or v.max() >= n_classes):
+                raise EvaluationError(f"{name} classes are not integers in [0, {n_classes})")
+        index = true.astype(np.int64) * n_classes + pred.astype(np.int64)
+        counts = np.bincount(index, minlength=n_classes * n_classes)
+        return cls(n_classes, counts.reshape(n_classes, n_classes))
 
     @property
     def total(self) -> int:

@@ -52,7 +52,8 @@ def _weight_summary(result: StageResult, train: Dataset) -> dict:
     pruned (evaluation-only forward over the full set)."""
     out = forward_batch(result.model, train.features_matrix())
     weights = out["weight"]
-    pruned_mask = np.array([s.id in result.pruned_ids for s in train.samples])
+    pruned = np.fromiter(result.pruned_ids, dtype=np.int64, count=len(result.pruned_ids))
+    pruned_mask = np.isin(train.id_array, pruned)
     edges = np.linspace(0.0, 1.0, HIST_BINS + 1)
     kept_w = weights[~pruned_mask]
     pruned_w = weights[pruned_mask]
@@ -75,7 +76,7 @@ def _true_label_metrics(model, test: Dataset):
         return None, None
     out = forward_batch(model, test.features_matrix())
     preds = np.argmax(out["probs"], axis=1)
-    labels = np.array([truth[s.id] for s in test.samples])
+    labels = np.array([truth[i] for i in test.ids])
     cm = ConfusionMatrix.from_predictions(labels, preds, test.n_classes)
     return war(cm), uar(cm)
 

@@ -5,7 +5,9 @@ Per epoch: deterministic shuffle keyed by (seed, epoch), minibatch SGD with
 momentum on the weighted cross-entropy loss, then one evaluation-mode
 forward over all active samples so every history entry for the epoch is
 scored by the same post-update parameters. Stage decisions (pruning or
-correction) run at the end of each post-warm-up epoch.
+correction) run at the end of each post-warm-up epoch, and the epoch's train
+WAR/UAR are read from the same forward: its rows of the samples still
+active, against their labels after correction.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def run_epoch(
         batch = order[start : start + config.batch_size]
         grads, loss = backward_batch(model, feats[batch], labels[batch])
         if not np.isfinite(loss):
-            ids = [dataset.samples[i].id for i in batch]
+            ids = dataset.id_array[batch].tolist()
             raise NumericError(
                 f"non-finite loss at epoch {epoch}, batch starting {start}, "
                 f"sample ids {ids}"
@@ -125,9 +127,17 @@ def run_epoch(
     return float(np.mean(losses)), eval_out
 
 
-def _metrics(probs: np.ndarray, labels: np.ndarray, n_classes: int):
-    cm = ConfusionMatrix.from_predictions(labels, np.argmax(probs, axis=1), n_classes)
-    return war(cm), uar(cm)
+def _check_weights(weights: np.ndarray, dataset: Dataset, epoch: int) -> None:
+    """Sample weights must lie strictly inside (0, 1); the sigmoid of the
+    weight branch saturates to exactly 0.0 or 1.0 in float64 once its
+    input passes about -745 or 37."""
+    bad = ~((weights > 0.0) & (weights < 1.0))
+    if bad.any():
+        ids = dataset.id_array[bad][:5].tolist()
+        raise NumericError(
+            f"weight branch saturated at epoch {epoch}: {int(bad.sum())} weights "
+            f"non-finite or exactly 0 or 1, first sample ids {ids}"
+        )
 
 
 def evaluate(model: SciuModel, dataset: Dataset, weighted: bool = False):
@@ -174,32 +184,38 @@ def train_stage(
 
     for epoch in range(config.epochs):
         mean_loss, eval_out = run_epoch(model, active, config, velocity, epoch)
+        # Rows of the active set's evaluation forward; the train metrics
+        # below reuse them, taken by mask after pruning.
+        probs = eval_out["probs"]
 
         if stage == "cgp" and epoch >= config.warmup_epochs:
-            probs = eval_out["probs"]
             weights = eval_out["weight"]
-            labels = active.labels()
+            _check_weights(weights, active, epoch)
             if config.score_source == "annotated_class":
-                p = probs[np.arange(len(active)), labels]
+                p = probs[np.arange(len(active)), active.labels()]
             else:
                 p = probs.max(axis=1)
-            for i, s in enumerate(active.samples):
-                cgp_mod.record_score(prune_state, s.id, float(weights[i]), float(p[i]), epoch)
-            active, _ = cgp_mod.apply_pruning(prune_state, active, epoch)
+            for sid, w, pl in zip(active.ids, weights.tolist(), p.tolist()):
+                cgp_mod.record_score(prune_state, sid, w, pl, epoch)
+            scored = active
+            active, newly = cgp_mod.apply_pruning(prune_state, active, epoch)
             if len(active) == 0:
                 raise DegenerateRunError(
                     "all samples pruned: lower lambda or extend warm-up"
                 )
+            if newly:
+                probs = probs[np.isin(scored.id_array, active.id_array)]
 
         if stage == "fgc" and epoch >= config.warmup_epochs:
             key = "weighted_probs" if config.prob_source == "weighted" else "probs"
-            probs = eval_out[key]
-            for i, s in enumerate(active.samples):
-                fgc_mod.record_prediction(corr_state, s.id, probs[i], s.label, epoch)
+            for sid, row, label in zip(active.ids, eval_out[key], active.labels().tolist()):
+                fgc_mod.record_prediction(corr_state, sid, row, label, epoch)
             active, _ = fgc_mod.apply_corrections(corr_state, active, epoch)
 
         # Per-epoch metrics on the current active set (post-decision labels).
-        ew, eu, _ = evaluate(model, active)
+        cm = ConfusionMatrix.from_predictions(
+            active.labels(), np.argmax(probs, axis=1), active.n_classes
+        )
         if test_dataset is not None and len(test_dataset) > 0:
             tw, tu, _ = evaluate(model, test_dataset)
         else:
@@ -208,8 +224,8 @@ def train_stage(
             EpochRecord(
                 epoch=epoch,
                 mean_loss=mean_loss,
-                train_war=ew,
-                train_uar=eu,
+                train_war=war(cm),
+                train_uar=uar(cm),
                 test_war=tw,
                 test_uar=tu,
                 active_sample_count=len(active),
@@ -218,15 +234,10 @@ def train_stage(
             )
         )
 
-    output = None
-    if stage == "cgp":
-        output = active
-    elif stage == "fgc":
-        output = active
     return StageResult(
         stage=stage,
         model=model,
-        output_dataset=output,
+        output_dataset=active if stage != "plain" else None,
         epoch_records=records,
         prune_log=prune_state.prune_log,
         correction_events=corr_state.corrections,

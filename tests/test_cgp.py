@@ -25,7 +25,9 @@ class TestScoreHistory:
     def test_product_stored(self):
         state = PruneState(lam=0.5, window=3, warmup_epochs=0)
         record_score(state, 0, weight=0.5, prob_of_label=0.8, epoch=0)
-        assert list(state.histories[0].scores) == [pytest.approx(0.4)]
+        w = state.windows
+        assert w.counts[w.rows[0]] == 1
+        assert w.buffers["scores"][w.rows[0], 0] == pytest.approx(0.4)
 
     def test_eviction_keeps_last_t(self):
         h = ScoreHistory(0, window=2)
@@ -166,3 +168,71 @@ class TestApplyPruning:
             apply_pruning(state, ds, epoch=0)
             assert prev <= state.pruned_ids
             prev = state.pruned_ids
+
+
+class TestArrayPruningMatchesScalarRule:
+    """`apply_pruning` decides every ready sample at once; each decision and
+    each logged S_T must be what `ScoreHistory`, `trailing_mean` and
+    `prune_decision` give for that sample alone."""
+
+    def _run(self, rng, lam, window, n_ids, epochs, forced=None):
+        ds = toy_dataset(n_ids)
+        state = PruneState(lam=lam, window=window, warmup_epochs=0)
+        refs = {i: ScoreHistory(i, window) for i in ds.ids}
+        pruned: set[int] = set()
+        active = ds
+        for epoch in range(epochs):
+            for i in active.ids:
+                if forced is None and rng.uniform() < 0.2:  # some skip an epoch
+                    continue
+                w, p = forced(i, epoch) if forced else (
+                    float(rng.uniform(0.01, 0.99)), float(rng.uniform(0, 1)))
+                record_score(state, i, w, p, epoch)
+                refs[i].record(w * p)
+            log_start = len(state.prune_log)
+            active, newly = apply_pruning(state, active, epoch)
+            want_log = []
+            for i in ds.ids:
+                s_t = trailing_mean(refs[i])
+                if i in pruned or s_t is None or prune_decision(s_t, lam):
+                    continue
+                want_log.append({"epoch": epoch, "sample_id": i, "S_T": s_t, "lambda": lam})
+            pruned |= {e["sample_id"] for e in want_log}
+            assert state.prune_log[log_start:] == want_log
+            assert newly == {e["sample_id"] for e in want_log}
+            assert state.pruned_ids == pruned
+            assert active.ids == [i for i in ds.ids if i not in pruned]
+        return state
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_histories(self, seed):
+        rng = np.random.default_rng(seed)
+        self._run(rng, float(rng.uniform(0.1, 0.6)), int(rng.integers(1, 5)),
+                  n_ids=30, epochs=8)
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 5])
+    def test_mean_equal_to_lambda_prunes(self, window):
+        # lambda is set to the scalar rule's own S_T, so S_T == lambda
+        # exactly, and equality prunes.
+        scores = [0.05 * (k + 3) for k in range(window)]
+        ref = ScoreHistory(0, window)
+        for v in scores:
+            ref.record(v)
+        lam = trailing_mean(ref)
+        state = self._run(np.random.default_rng(0), lam, window, n_ids=3,
+                          epochs=window, forced=lambda i, e: (0.5, 2 * scores[e]))
+        assert state.pruned_ids == {0, 1, 2}
+        assert [e["S_T"] for e in state.prune_log] == [lam] * 3
+
+    def test_window_mean_bits_follow_left_to_right_sum(self):
+        # The mean of these three scores depends on the order they are
+        # added in. One evicted entry leaves the oldest score mid-ring; the
+        # array mean must still add oldest first, as sum(...) / t does.
+        scores = [0.302, 0.313, 0.033]
+        lam = ((0.302 + 0.313) + 0.033) / 3
+        assert lam != ((0.033 + 0.302) + 0.313) / 3
+        state = PruneState(lam=lam, window=3, warmup_epochs=0)
+        for v in [0.4, *scores]:
+            record_score(state, 0, 0.5, 2 * v, epoch=0)
+        apply_pruning(state, toy_dataset(1), epoch=0)
+        assert [e["S_T"] for e in state.prune_log] == [lam]

@@ -1,6 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sciu
 from sciu.dataset import (
     CorrectionEvent,
     Dataset,
@@ -175,3 +183,168 @@ class TestStratifiedSplit:
         ds = self._dataset(per_class=5)
         with pytest.raises(ValidationError):
             stratified_split(ds, 1.0, seed=0)
+
+
+HEADER = '{"format":"sciu-dataset","n_classes":2,"dim":2}\n'
+RECORD = '{"id":0,"features":[1.0,0.0],"label":0}\n'
+
+
+def run_cli(*argv):
+    """Run the CLI in a fresh interpreter; (exit code, stderr)."""
+    src = Path(sciu.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sciu.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stderr
+
+
+class TestLoadErrors:
+    @pytest.mark.parametrize("key", ["n_classes", "dim"])
+    def test_header_missing_field(self, tmp_path, key):
+        header = {"format": "sciu-dataset", "n_classes": 2, "dim": 2}
+        del header[key]
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(header) + "\n" + RECORD)
+        with pytest.raises(ParseError, match=rf":1: .*{key}"):
+            load_dataset(path)
+
+    def test_header_dim_not_an_integer(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"format":"sciu-dataset","n_classes":2,"dim":"2"}\n' + RECORD)
+        with pytest.raises(ParseError, match=":1: dim"):
+            load_dataset(path)
+
+    def test_non_numeric_feature(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(HEADER + RECORD + '{"id":1,"features":[1.0,"x"],"label":0}\n')
+        with pytest.raises(ParseError, match=":3: "):
+            load_dataset(path)
+
+    def test_record_not_an_object(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(HEADER + "[0, 1]\n")
+        with pytest.raises(ParseError, match=":2: "):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"format":"sciu-dataset","dim":2}\n' + RECORD,
+            HEADER + '{"id":0,"features":[1.0,"x"],"label":0}\n',
+        ],
+        ids=["missing-n_classes", "non-numeric-feature"],
+    )
+    def test_cli_exit_2_without_traceback(self, tmp_path, text):
+        path = tmp_path / "d.jsonl"
+        path.write_text(text)
+        code, err = run_cli("run", "--dataset", str(path), "--mode", "baseline")
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            Sample(0, np.zeros(2), label=0.5),
+            Sample(0, np.zeros(2), label=1.0),
+            Sample(0, np.zeros(2), label=True),
+            Sample(0.5, np.zeros(2), label=0),
+            Sample(0, np.zeros(2), label=0, true_label=0.5),
+            Sample(0, np.zeros(2), label=0, true_label=-1),
+        ],
+        ids=["label-half", "label-float", "label-bool", "id-half", "true-half",
+             "true-negative"],
+    )
+    def test_rejected(self, sample):
+        with pytest.raises(ValidationError):
+            Dataset([sample], n_classes=2, dim=2)
+
+    def test_numpy_integers_accepted(self):
+        ds = Dataset(
+            [Sample(np.int64(3), np.zeros(2), np.int32(1), true_label=np.int64(0))],
+            n_classes=2, dim=2,
+        )
+        assert ds.ids == [3] and ds.labels().tolist() == [1]
+        assert ds.oracle_true_labels() == {3: 0}
+
+    def test_float_label_in_file(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(HEADER + '{"id":0,"features":[1.0,0.0],"label":0.5}\n')
+        with pytest.raises(ValidationError, match="not an integer"):
+            load_dataset(path)
+
+
+def assert_same_columns(a, b):
+    assert a.ids == b.ids
+    assert a.labels().tolist() == b.labels().tolist()
+    assert a.features_matrix().tobytes() == b.features_matrix().tobytes()
+    assert a.oracle_true_labels() == b.oracle_true_labels()
+    assert a.oracle_quality_flags() == b.oracle_quality_flags()
+
+
+class TestGathers:
+    """`subset` and `with_labels` gather without validating again; they must
+    still give what a dataset built and validated from the same samples
+    gives."""
+
+    def _dataset(self, seed):
+        rng = np.random.default_rng(seed)
+        ids = rng.permutation(200)[:40]
+        return Dataset(
+            [
+                Sample(int(i), rng.standard_normal(3), int(rng.integers(4)),
+                       true_label=int(rng.integers(4)) if rng.uniform() < 0.7 else None,
+                       quality_flag=["clean", "low_quality", None][int(rng.integers(3))])
+                for i in ids
+            ],
+            n_classes=4, dim=3,
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_subset_matches_fresh_dataset(self, seed):
+        ds = self._dataset(seed)
+        rng = np.random.default_rng(100 + seed)
+        keep = set(rng.choice(ds.ids, size=15, replace=False).tolist())
+        fresh = Dataset([s for s in ds.samples if s.id in keep], 4, 3)
+        assert_same_columns(ds.subset(keep), fresh)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_with_labels_matches_fresh_dataset(self, seed):
+        ds = self._dataset(seed)
+        rng = np.random.default_rng(200 + seed)
+        new = {int(i): int(rng.integers(4)) for i in rng.choice(ds.ids, size=10)}
+        fresh = Dataset(
+            [replace(s, label=new.get(s.id, s.label)) for s in ds.samples], 4, 3
+        )
+        before = ds.labels().copy()
+        assert_same_columns(ds.with_labels(new), fresh)
+        np.testing.assert_array_equal(ds.labels(), before)
+
+    @pytest.mark.parametrize("label", [4, -1, 0.5])
+    def test_with_labels_rejects_bad_label(self, label):
+        ds = self._dataset(0)
+        with pytest.raises(ValidationError):
+            ds.with_labels({ds.ids[0]: label})
+
+    def test_gathers_do_not_validate(self, monkeypatch):
+        ds = self._dataset(0)
+        calls = []
+        monkeypatch.setattr(Dataset, "validate", lambda self: calls.append(len(self)))
+        ds.subset(ds.ids[:5]).with_labels({ds.ids[0]: 1})
+        stratified_split(ds, 0.5, seed=0)
+        assert calls == []
+
+    def test_columns_are_read_only(self):
+        ds = self._dataset(0)
+        with pytest.raises(ValueError):
+            ds.labels()[0] = 1
+        with pytest.raises(ValueError):
+            ds.features_matrix()[0, 0] = 1.0
+
+    def test_split_halves_sorted_by_id(self):
+        ds = self._dataset(1)
+        train, test = stratified_split(ds, 0.5, seed=0)
+        assert train.ids == sorted(train.ids) and test.ids == sorted(test.ids)
+        assert sorted(train.ids + test.ids) == sorted(ds.ids)

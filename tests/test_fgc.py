@@ -22,6 +22,19 @@ def toy_dataset(labels):
     )
 
 
+def first_entry(state, sample_id):
+    """(y_pred, p_pred, p_gt) of a sample's first recorded prediction."""
+    w = state.windows
+    row = w.rows[sample_id]
+    return tuple(w.buffers[k][row, 0] for k in ("preds", "p_pred", "p_gt"))
+
+
+def recorded(state, sample_id):
+    """Predictions recorded for a sample since its window was last cleared."""
+    w = state.windows
+    return int(w.counts[w.rows[sample_id]]) if sample_id in w.rows else 0
+
+
 def history(entries, window):
     h = PredictionHistory(0, window)
     for y, p, g in entries:
@@ -33,18 +46,18 @@ class TestRecordPrediction:
     def test_argmax_entry(self):
         state = CorrectionState(tau=0.2, window=3)
         record_prediction(state, 0, np.array([0.1, 0.9]), gt_label=0, epoch=0)
-        assert state.histories[0].entries[0] == (1, pytest.approx(0.9), pytest.approx(0.1))
+        assert first_entry(state, 0) == (1, pytest.approx(0.9), pytest.approx(0.1))
 
     def test_gt_is_argmax(self):
         state = CorrectionState(tau=0.2, window=3)
         record_prediction(state, 0, np.array([0.7, 0.3]), gt_label=0, epoch=0)
-        y, p_pred, p_gt = state.histories[0].entries[0]
+        y, p_pred, p_gt = first_entry(state, 0)
         assert y == 0 and p_pred == p_gt
 
     def test_tie_takes_lowest_index(self):
         state = CorrectionState(tau=0.2, window=3)
         record_prediction(state, 0, np.array([0.4, 0.4, 0.2]), gt_label=2, epoch=0)
-        assert state.histories[0].entries[0][0] == 0
+        assert first_entry(state, 0)[0] == 0
 
 
 class TestLabelStable:
@@ -145,7 +158,7 @@ class TestApplyCorrections:
         for epoch in range(2):
             record_prediction(state, 0, probs, 0, epoch)
         apply_corrections(state, ds, epoch=1)
-        assert state.histories[0].epochs_recorded == 0
+        assert recorded(state, 0) == 0
         # One more record is not enough for a second decision.
         record_prediction(state, 0, probs, 3, epoch=2)
         _, events = apply_corrections(state, ds, epoch=2)
@@ -170,3 +183,61 @@ class TestApplyCorrections:
             if prev is not None:
                 assert accepted <= prev
             prev = accepted
+
+
+class TestArrayCorrectionsMatchScalarRule:
+    """`apply_corrections` decides every ready sample at once; each event
+    must be what `PredictionHistory` with `correction_decision` gives for
+    that sample alone, history cleared after a correction."""
+
+    def _run(self, rng, tau, window, labels, epochs, probs_of):
+        ds = toy_dataset(labels)
+        state = CorrectionState(tau=tau, window=window)
+        refs = {i: PredictionHistory(i, window) for i in ds.ids}
+        current = dict(zip(ds.ids, labels))
+        active = ds
+        all_events = []
+        for epoch in range(epochs):
+            for i in active.ids:
+                probs = probs_of(i, epoch)
+                record_prediction(state, i, probs, current[i], epoch)
+                y = int(np.argmax(probs))
+                refs[i].record(y, float(probs[y]), float(probs[current[i]]))
+            active, events = apply_corrections(state, active, epoch)
+            want = []
+            for i in ds.ids:
+                if correction_decision(refs[i], tau):
+                    new = refs[i].entries[0][0]
+                    want.append((i, current[i], new, epoch))
+                    current[i] = new
+                    refs[i].clear()
+            assert [(e.sample_id, e.old_label, e.new_label, e.epoch) for e in events] == want
+            assert active.ids == ds.ids
+            assert active.labels().tolist() == [current[i] for i in ds.ids]
+            for i in ds.ids:
+                assert recorded(state, i) == refs[i].epochs_recorded
+            all_events += want
+        return all_events
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_histories(self, seed):
+        rng = np.random.default_rng(seed)
+        favourite = rng.integers(0, 4, 40)
+
+        def probs_of(i, epoch):
+            alpha = np.full(4, 0.3)
+            alpha[favourite[i] if rng.uniform() < 0.8 else rng.integers(4)] = 4.0
+            return rng.dirichlet(alpha)
+
+        events = self._run(rng, float(rng.uniform(0.05, 0.5)), int(rng.integers(1, 4)),
+                           rng.integers(0, 4, 40).tolist(), epochs=10, probs_of=probs_of)
+        assert events
+
+    def test_second_correction_after_clear(self):
+        # Sample 0 is corrected to class 3, its history is cleared, and t
+        # new epochs later it is corrected again, from 3 to class 1.
+        to3 = np.array([0.05, 0.0, 0.0, 0.95])
+        to1 = np.array([0.0, 0.9, 0.0, 0.1])
+        events = self._run(np.random.default_rng(0), 0.2, 2, [0], epochs=5,
+                           probs_of=lambda i, e: to3 if e < 2 else to1)
+        assert events == [(0, 0, 3, 1), (0, 3, 1, 3)]

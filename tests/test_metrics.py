@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sciu.dataset import CorrectionEvent, Dataset, Sample
 from sciu.errors import EvaluationError
@@ -61,6 +62,34 @@ class TestFromPredictions:
         cm = ConfusionMatrix.from_predictions([0, 0, 1, 1], [0, 1, 1, 1], 2)
         np.testing.assert_array_equal(cm.counts, [[1, 1], [0, 2]])
         assert cm.total == 4
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                         max_size=60),
+            )
+        )
+    )
+    def test_matches_brute_force(self, case):
+        k, pairs = case
+        true = [t for t, _ in pairs]
+        pred = [p for _, p in pairs]
+        expect = [[0] * k for _ in range(k)]
+        for t, p in pairs:
+            expect[t][p] += 1
+        cm = ConfusionMatrix.from_predictions(np.array(true, dtype=np.int64), pred, k)
+        assert cm.counts.tolist() == expect
+
+    @pytest.mark.parametrize(
+        "true,pred",
+        [([0, -1], [0, 0]), ([0, 1], [0, 2]), ([2], [0]), ([0, 0], [0]),
+         ([0.6, 1], [0, 1]), ([0, 1], [0, 1.9]), ([True], [0])],
+    )
+    def test_bad_class_or_length_raises(self, true, pred):
+        with pytest.raises(EvaluationError):
+            ConfusionMatrix.from_predictions(true, pred, 2)
 
 
 def oracle_dataset(flags_and_truth):

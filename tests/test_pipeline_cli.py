@@ -165,6 +165,18 @@ class TestCli:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_run_saturated_weights_exit_4(self, tmp_path, capsys):
+        # At learning rate 5 the weight branch's sigmoid saturates to
+        # exactly 0.0 or 1.0: a numeric failure, not a usage error.
+        data = tmp_path / "d.jsonl"
+        assert main(["generate", "--out", str(data), "--per-class", "100"]) == 0
+        code = main([
+            "run", "--dataset", str(data), "--mode", "cgp", "--learning-rate", "5.0",
+            "--epochs", "25", "--warmup-epochs", "5",
+        ])
+        assert code == 4
+        assert "saturated at epoch 5" in capsys.readouterr().err
+
     def test_sweep_cli(self, dataset_file, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = main([

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from sciu.dataset import QUALITY_LOW, Dataset, Sample
-from sciu.errors import ConfigurationError, DegenerateRunError
+from sciu.errors import ConfigurationError, DegenerateRunError, NumericError
 from sciu.metrics import pruning_quality
 from sciu.synth import SynthConfig, generate
 from sciu.model import init_model
-from sciu.trainer import TrainConfig, train_stage
+from sciu import trainer
+from sciu.trainer import TrainConfig, evaluate, train_stage
 
 
 def two_class_toy(n_per_class=40, seed=0):
@@ -141,3 +142,51 @@ class TestFgcStage:
             last[e.sample_id] = e.new_label
         for sid, lab in last.items():
             assert final[sid] == lab
+
+
+class TestTrainMetricsReuseEvalForward:
+    """The per-epoch train WAR/UAR come from the rows of `run_epoch`'s
+    evaluation forward; after every decision they must equal a fresh
+    evaluation of the model on the active set the decision left."""
+
+    @pytest.mark.parametrize(
+        "stage,module,name",
+        [("cgp", trainer.cgp_mod, "apply_pruning"),
+         ("fgc", trainer.fgc_mod, "apply_corrections")],
+    )
+    def test_every_epoch_matches_evaluate(self, monkeypatch, stage, module, name):
+        models, fresh = [], {}
+
+        def keeping(*args):
+            models.append(init_model(*args))
+            return models[-1]
+
+        monkeypatch.setattr(trainer, "init_model", keeping)
+        decide = getattr(module, name)
+
+        def deciding(state, dataset, epoch):
+            out, changed = decide(state, dataset, epoch)
+            fresh[epoch] = evaluate(models[0], out)[:2], bool(changed)
+            return out, changed
+
+        monkeypatch.setattr(module, name, deciding)
+        ds = generate(SynthConfig(per_class=60, seed=1))
+        result = train_stage(ds, small_config(), stage)
+        for rec in result.epoch_records:
+            if rec.epoch in fresh:
+                assert (rec.train_war, rec.train_uar) == fresh[rec.epoch][0]
+        assert sum(changed for _, changed in fresh.values()) >= 3
+
+    def test_plain_matches_evaluate(self):
+        ds = generate(SynthConfig(per_class=60, seed=1))
+        result = train_stage(ds, small_config(), "plain")
+        last = result.epoch_records[-1]
+        assert (last.train_war, last.train_uar) == evaluate(result.model, ds)[:2]
+
+
+class TestSaturation:
+    def test_saturated_weight_is_numeric_error(self):
+        ds = generate(SynthConfig(per_class=100, seed=0))
+        cfg = TrainConfig(learning_rate=5.0, epochs=25, warmup_epochs=5)
+        with pytest.raises(NumericError, match="epoch 5: .*sample ids \\["):
+            train_stage(ds, cfg, "cgp")
