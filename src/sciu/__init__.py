@@ -13,7 +13,7 @@ from .dataset import (
     save_dataset,
     stratified_split,
 )
-from .model import SciuModel, forward, init_model, wce_loss
+from .model import SciuModel, init_model
 from .pipeline import PipelineConfig, run_pipeline, sweep
 from .synth import SynthConfig, generate
 from .trainer import TrainConfig, train_stage
@@ -26,7 +26,6 @@ __all__ = [
     "SciuModel",
     "SynthConfig",
     "TrainConfig",
-    "forward",
     "generate",
     "init_model",
     "load_dataset",
@@ -35,7 +34,6 @@ __all__ = [
     "stratified_split",
     "sweep",
     "train_stage",
-    "wce_loss",
 ]
 
 __version__ = "0.1.0"

@@ -210,6 +210,9 @@ class Dataset:
                     f"sample {sid}: label {lab!r} out of range [0, {self.n_classes})"
                 )
         hit = np.flatnonzero(np.isin(self.id_array, list(new_labels)))
+        if len(hit) != len(new_labels):
+            unknown = sorted(set(new_labels).difference(self.ids))
+            raise ValidationError(f"sample ids {unknown} are not in the dataset")
         labels = self._labels.copy()
         labels[hit] = [new_labels[i] for i in self.id_array[hit].tolist()]
         return self._derive(

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import CorrectionEvent, Dataset
-from .errors import ConfigurationError, LogicError
+from .errors import ConfigurationError, LogicError, ValidationError
 from .window import RingWindows
 
 
@@ -101,6 +101,10 @@ def record_prediction(
     """Store argmax label (ties -> lowest index), its probability, and the
     probability of the current annotated label."""
     probs = np.asarray(probs, dtype=np.float64)
+    if not 0 <= gt_label < len(probs):
+        raise ValidationError(
+            f"sample {sample_id}: label {gt_label} outside [0, {len(probs)})"
+        )
     y_pred = int(probs.argmax())
     row, col = state.windows.slot(sample_id)
     view = state.windows.views

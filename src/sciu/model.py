@@ -8,27 +8,26 @@ For input features v the model computes
     w  = sigmoid(w2 . ReLU(W1 x + b1) + b2)   sample weight in (0, 1)
 
 The training loss is cross-entropy on softmax(w * z); the weight branch is
-trained end-to-end through that scaling. `backward` is the hand-derived
-analytic gradient of this loss, checked against finite differences in the
-test suite.
+trained end-to-end through that scaling. `backward_batch` is the
+hand-derived analytic gradient of this loss, checked against finite
+differences in the test suite.
+
+Parameters live in one contiguous float64 vector, `model.flat`: the eight
+arrays of `parameters()` one after another, in that order, each row-major.
+Every layer's `weight` and `bias` is a view of it, so an in-place edit
+through a layer shows in `flat` and one SGD update on `flat` moves every
+layer. `model.grad` has the same layout; `backward_batch` writes into it,
+and the gradients it returns are views of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Sample
 from .errors import ConfigurationError, ParseError
-from .nn_core import (
-    LinearLayer,
-    cross_entropy,
-    linear_forward,
-    relu,
-    sigmoid,
-    softmax,
-)
+from .nn_core import LinearLayer, linear_forward, relu, sigmoid, softmax
 
 
 @dataclass
@@ -37,6 +36,8 @@ class SciuModel:
     classifier: LinearLayer
     wb_hidden: LinearLayer
     wb_out: LinearLayer
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    grad: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.classifier.in_dim != self.encoder.out_dim:
@@ -45,6 +46,23 @@ class SciuModel:
             raise ConfigurationError("weight branch input dim != encoder output dim")
         if self.wb_out.in_dim != self.wb_hidden.out_dim or self.wb_out.out_dim != 1:
             raise ConfigurationError("weight branch output layer must map hidden -> 1")
+        self.flat = np.concatenate([p.ravel() for p in self.parameters()])
+        self.grad = np.zeros_like(self.flat)
+        views = self._views(self.flat)
+        for i, layer in enumerate(self._layers()):
+            layer.weight, layer.bias = views[2 * i], views[2 * i + 1]
+        self._grads = self._views(self.grad)
+
+    def _layers(self) -> tuple[LinearLayer, ...]:
+        return (self.encoder, self.classifier, self.wb_hidden, self.wb_out)
+
+    def _views(self, buf: np.ndarray) -> list[np.ndarray]:
+        """Views of a flat buffer shaped like parameters(), in that order."""
+        views, start = [], 0
+        for p in self.parameters():
+            views.append(buf[start : start + p.size].reshape(p.shape))
+            start += p.size
+        return views
 
     @property
     def n_classes(self) -> int:
@@ -55,22 +73,8 @@ class SciuModel:
         return self.encoder.in_dim
 
     def parameters(self) -> list[np.ndarray]:
-        """Live parameter arrays in a fixed order (shared with gradients)."""
-        return [
-            self.encoder.weight, self.encoder.bias,
-            self.classifier.weight, self.classifier.bias,
-            self.wb_hidden.weight, self.wb_hidden.bias,
-            self.wb_out.weight, self.wb_out.bias,
-        ]
-
-
-@dataclass
-class ForwardOutput:
-    embedding: np.ndarray
-    logits: np.ndarray
-    probs: np.ndarray
-    weight: float
-    weighted_probs: np.ndarray
+        """Live parameter arrays in a fixed order; views of `flat`."""
+        return [a for layer in self._layers() for a in (layer.weight, layer.bias)]
 
 
 def init_model(
@@ -124,26 +128,13 @@ def forward_batch(model: SciuModel, features: np.ndarray) -> dict[str, np.ndarra
     }
 
 
-def forward(model: SciuModel, sample: Sample) -> ForwardOutput:
-    out = forward_batch(model, sample.features[None, :])
-    return ForwardOutput(
-        embedding=out["embedding"][0],
-        logits=out["logits"][0],
-        probs=out["probs"][0],
-        weight=float(out["weight"][0]),
-        weighted_probs=out["weighted_probs"][0],
-    )
-
-
-def wce_loss(output: ForwardOutput, label: int) -> float:
-    """Cross-entropy on the weight-scaled logits."""
-    if not (0 <= label < output.logits.shape[0]):
-        raise ConfigurationError(f"label {label} out of range")
-    return cross_entropy(output.weighted_probs, label)
-
-
 def batch_loss(model: SciuModel, features: np.ndarray, labels: np.ndarray) -> float:
     """Mean weighted cross-entropy over a batch."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size and not (0 <= labels.min() and labels.max() < model.n_classes):
+        raise ConfigurationError(
+            f"labels span [{labels.min()}, {labels.max()}], outside [0, {model.n_classes})"
+        )
     out = forward_batch(model, features)
     wp = out["weighted_probs"][np.arange(len(labels)), labels]
     return float(np.mean(-np.log(np.maximum(wp, 1e-12))))
@@ -154,56 +145,62 @@ def backward_batch(
 ) -> tuple[list[np.ndarray], float]:
     """Mean-loss gradients for every parameter, order matching parameters().
 
-    Returns (grads, mean loss).
+    Returns (grads, mean loss). The grads are views of `model.grad`, which
+    the next call overwrites. This is the training hot path: it computes
+    the layers inline rather than through `nn_core`, with the same float
+    operations in the same order as `forward_batch`, and leaves checking
+    labels to `batch_loss` and the dataset.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = features.shape[0]
+    enc, cls, hid, out = model.encoder, model.classifier, model.wb_hidden, model.wb_out
+    g_enc_w, g_enc_b, g_cls_w, g_cls_b, g_hid_w, g_hid_b, g_out_w, g_out_b = model._grads
 
-    pre_emb = linear_forward(model.encoder, features)
-    emb = relu(pre_emb)
-    logits = linear_forward(model.classifier, emb)
-    pre_hid = linear_forward(model.wb_hidden, emb)
-    hidden = relu(pre_hid)
-    pre_sig = linear_forward(model.wb_out, hidden)[:, 0]
-    w = sigmoid(pre_sig)
-    wp = softmax(w[:, None] * logits)
+    pre_emb = features @ enc.weight.T + enc.bias
+    emb = np.maximum(pre_emb, 0.0)
+    logits = emb @ cls.weight.T + cls.bias
+    pre_hid = emb @ hid.weight.T + hid.bias
+    hidden = np.maximum(pre_hid, 0.0)
+    pre_sig = (hidden @ out.weight.T + out.bias)[:, 0]
+    # Stable sigmoid: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below.
+    e = np.exp(-np.abs(pre_sig))
+    w = np.where(pre_sig >= 0, 1.0, e) / (1.0 + e)
+    # softmax(w * z), in place: subtract the row max, exponentiate, normalize.
+    wp = w[:, None] * logits
+    wp -= wp.max(axis=1, keepdims=True)
+    np.exp(wp, out=wp)
+    wp /= wp.sum(axis=1, keepdims=True)
 
     idx = np.arange(n)
-    loss = float(np.mean(-np.log(np.maximum(wp[idx, labels], 1e-12))))
+    loss = float((-np.log(np.maximum(wp[idx, labels], 1e-12))).mean())
 
     # d(mean loss)/d(weighted logits) = (softmax - onehot)/n
-    d_m = wp.copy()
+    d_m = wp
     d_m[idx, labels] -= 1.0
     d_m /= n
 
     d_logits = w[:, None] * d_m
-    d_w = np.sum(d_m * logits, axis=1)
+    d_w = (d_m * logits).sum(axis=1)
 
-    g_cls_w = d_logits.T @ emb
-    g_cls_b = d_logits.sum(axis=0)
-    d_emb = d_logits @ model.classifier.weight
+    np.matmul(d_logits.T, emb, out=g_cls_w)
+    d_logits.sum(axis=0, out=g_cls_b)
+    d_emb = d_logits @ cls.weight
 
     d_pre_sig = d_w * w * (1.0 - w)
-    g_out_w = (d_pre_sig @ hidden)[None, :]
-    g_out_b = np.array([d_pre_sig.sum()])
-    d_hidden = d_pre_sig[:, None] * model.wb_out.weight[0][None, :]
+    np.matmul(d_pre_sig, hidden, out=g_out_w[0])
+    d_pre_sig.sum(keepdims=True, out=g_out_b)
+    d_hidden = d_pre_sig[:, None] * out.weight[0][None, :]
     d_pre_hid = d_hidden * (pre_hid > 0)
-    g_hid_w = d_pre_hid.T @ emb
-    g_hid_b = d_pre_hid.sum(axis=0)
-    d_emb += d_pre_hid @ model.wb_hidden.weight
+    np.matmul(d_pre_hid.T, emb, out=g_hid_w)
+    d_pre_hid.sum(axis=0, out=g_hid_b)
+    d_emb += d_pre_hid @ hid.weight
 
     d_pre_emb = d_emb * (pre_emb > 0)
-    g_enc_w = d_pre_emb.T @ features
-    g_enc_b = d_pre_emb.sum(axis=0)
+    np.matmul(d_pre_emb.T, features, out=g_enc_w)
+    d_pre_emb.sum(axis=0, out=g_enc_b)
 
-    grads = [g_enc_w, g_enc_b, g_cls_w, g_cls_b, g_hid_w, g_hid_b, g_out_w, g_out_b]
-    return grads, loss
-
-
-def backward(model: SciuModel, sample: Sample, label: int) -> list[np.ndarray]:
-    grads, _ = backward_batch(model, sample.features[None, :], np.array([label]))
-    return grads
+    return list(model._grads), loss
 
 
 def save_model(model: SciuModel, path) -> None:

@@ -12,6 +12,7 @@ active, against their labels after correction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
@@ -94,33 +95,39 @@ def run_epoch(
     model: SciuModel,
     dataset: Dataset,
     config: TrainConfig,
-    velocity: list[np.ndarray],
+    velocity: np.ndarray,
     epoch: int,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """One pass of minibatch SGD, then an evaluation forward over the whole
     (active) dataset with the updated parameters.
+
+    The rows are gathered into shuffled order once; each minibatch is a
+    slice of them, and one momentum step on `model.flat` (with `velocity`
+    of the same layout) updates every layer.
 
     Returns (mean batch loss, eval outputs aligned with dataset order).
     """
     if len(dataset) == 0:
         raise DegenerateRunError("cannot train on an empty dataset")
     feats = dataset.features_matrix()
-    labels = dataset.labels()
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, epoch, 0xE9]))
     order = rng.permutation(len(dataset))
+    shuffled = feats[order]
+    labels = dataset.labels()[order]
 
-    params = model.parameters()
+    params, grads, velocities = [model.flat], [model.grad], [velocity]
+    lr, momentum, size = config.learning_rate, config.momentum, config.batch_size
     losses = []
-    for start in range(0, len(order), config.batch_size):
-        batch = order[start : start + config.batch_size]
-        grads, loss = backward_batch(model, feats[batch], labels[batch])
-        if not np.isfinite(loss):
-            ids = dataset.id_array[batch].tolist()
+    for start in range(0, len(order), size):
+        stop = start + size
+        _, loss = backward_batch(model, shuffled[start:stop], labels[start:stop])
+        if not math.isfinite(loss):
+            ids = dataset.id_array[order[start:stop]].tolist()
             raise NumericError(
                 f"non-finite loss at epoch {epoch}, batch starting {start}, "
                 f"sample ids {ids}"
             )
-        sgd_momentum_step(params, grads, velocity, config.learning_rate, config.momentum)
+        sgd_momentum_step(params, grads, velocities, lr, momentum)
         losses.append(loss)
 
     eval_out = forward_batch(model, feats)
@@ -172,7 +179,7 @@ def train_stage(
     model = init_model(
         dataset.dim, config.embed_dim, config.hidden_dim, dataset.n_classes, config.seed
     )
-    velocity = [np.zeros_like(p) for p in model.parameters()]
+    velocity = np.zeros_like(model.flat)
 
     prune_state = cgp_mod.PruneState(
         lam=config.lam, window=config.window_t, warmup_epochs=config.warmup_epochs

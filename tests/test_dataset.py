@@ -328,6 +328,16 @@ class TestGathers:
         with pytest.raises(ValidationError):
             ds.with_labels({ds.ids[0]: label})
 
+    def test_with_labels_rejects_unknown_id(self):
+        # An id outside the dataset used to be ignored without a trace.
+        ds = self._dataset(0)
+        missing = max(ds.ids) + 1
+        with pytest.raises(ValidationError, match=str(missing)):
+            ds.with_labels({ds.ids[0]: 1, missing: 1})
+        one = Dataset([Sample(0, np.zeros(1), 0)], 2, 1)
+        with pytest.raises(ValidationError):
+            one.with_labels({99: 1})
+
     def test_gathers_do_not_validate(self, monkeypatch):
         ds = self._dataset(0)
         calls = []

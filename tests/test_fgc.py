@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sciu.dataset import Dataset, Sample
-from sciu.errors import ConfigurationError, LogicError
+from sciu.errors import ConfigurationError, LogicError, ValidationError
 from sciu.fgc import (
     CorrectionState,
     PredictionHistory,
@@ -58,6 +58,14 @@ class TestRecordPrediction:
         state = CorrectionState(tau=0.2, window=3)
         record_prediction(state, 0, np.array([0.4, 0.4, 0.2]), gt_label=2, epoch=0)
         assert first_entry(state, 0)[0] == 0
+
+    @pytest.mark.parametrize("gt_label", [-1, 3])
+    def test_label_outside_row_rejected(self, gt_label):
+        # -1 used to record probs[-1] as the annotated-label probability.
+        state = CorrectionState(tau=0.2, window=1)
+        with pytest.raises(ValidationError):
+            record_prediction(state, 0, np.array([0.1, 0.2, 0.7]), gt_label, epoch=0)
+        assert recorded(state, 0) == 0
 
 
 class TestLabelStable:

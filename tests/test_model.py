@@ -3,24 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from sciu.dataset import Sample
 from sciu.errors import ConfigurationError, ParseError
 from sciu.model import (
     SciuModel,
-    backward,
     backward_batch,
     batch_loss,
-    forward,
     forward_batch,
     init_model,
     load_model,
     save_model,
-    wce_loss,
 )
 from sciu.nn_core import (
     LinearLayer,
     cross_entropy,
     finite_difference_gradient,
+    linear_forward,
+    relu,
+    sgd_momentum_step,
+    sigmoid,
     softmax,
 )
 
@@ -42,27 +42,69 @@ def saturated_weight_model(bias, seed=0):
     return m
 
 
+def forward_one(model, x):
+    """Forward outputs of a single feature vector, as a one-row batch."""
+    out = forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
+    return {k: v[0] for k, v in out.items()}
+
+
+def split_like(buf, params):
+    """A flat buffer cut into arrays shaped like `params`, in order."""
+    cuts = np.cumsum([p.size for p in params])[:-1]
+    return [part.reshape(p.shape) for part, p in zip(np.split(buf, cuts), params)]
+
+
+def reference_backward(model, features, labels):
+    """The gradient written layer by layer through the `nn_core` primitives,
+    one new array per step: what `backward_batch` computes inline."""
+    pre_emb = linear_forward(model.encoder, features)
+    emb = relu(pre_emb)
+    logits = linear_forward(model.classifier, emb)
+    pre_hid = linear_forward(model.wb_hidden, emb)
+    hidden = relu(pre_hid)
+    w = sigmoid(linear_forward(model.wb_out, hidden)[:, 0])
+    wp = softmax(w[:, None] * logits)
+    idx = np.arange(len(labels))
+    loss = float(np.mean(-np.log(np.maximum(wp[idx, labels], 1e-12))))
+    d_m = wp.copy()
+    d_m[idx, labels] -= 1.0
+    d_m /= len(labels)
+    d_logits = w[:, None] * d_m
+    d_w = np.sum(d_m * logits, axis=1)
+    d_emb = d_logits @ model.classifier.weight
+    d_pre_sig = d_w * w * (1.0 - w)
+    d_pre_hid = (d_pre_sig[:, None] * model.wb_out.weight[0][None, :]) * (pre_hid > 0)
+    d_emb += d_pre_hid @ model.wb_hidden.weight
+    d_pre_emb = d_emb * (pre_emb > 0)
+    grads = [
+        d_pre_emb.T @ features, d_pre_emb.sum(axis=0),
+        d_logits.T @ emb, d_logits.sum(axis=0),
+        d_pre_hid.T @ emb, d_pre_hid.sum(axis=0),
+        (d_pre_sig @ hidden)[None, :], np.array([d_pre_sig.sum()]),
+    ]
+    return grads, loss
+
+
 class TestForward:
     def test_zero_parameters(self):
         m = zero_model()
-        out = forward(m, Sample(0, np.array([1.0, -2.0, 0.5]), 0))
-        np.testing.assert_allclose(out.probs, np.full(3, 1 / 3))
-        assert out.weight == pytest.approx(0.5)
+        out = forward_one(m, [1.0, -2.0, 0.5])
+        np.testing.assert_allclose(out["probs"], np.full(3, 1 / 3))
+        assert out["weight"] == pytest.approx(0.5)
 
     def test_saturated_weight_one(self):
         m = saturated_weight_model(40.0)
-        out = forward(m, Sample(0, np.array([0.3, 1.0, -0.4]), 0))
-        assert out.weight == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(out.weighted_probs, out.probs, atol=1e-10)
+        out = forward_one(m, [0.3, 1.0, -0.4])
+        assert out["weight"] == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(out["weighted_probs"], out["probs"], atol=1e-10)
 
     def test_weighted_probs_recomputed(self):
         m = init_model(3, 4, 2, 3, seed=7)
-        x = np.array([0.5, -1.2, 2.0])
-        out = forward(m, Sample(0, x, 0))
+        out = forward_one(m, [0.5, -1.2, 2.0])
         np.testing.assert_allclose(
-            out.weighted_probs, softmax(out.weight * out.logits), atol=1e-12
+            out["weighted_probs"], softmax(out["weight"] * out["logits"]), atol=1e-12
         )
-        np.testing.assert_allclose(out.probs, softmax(out.logits), atol=1e-12)
+        np.testing.assert_allclose(out["probs"], softmax(out["logits"]), atol=1e-12)
 
     def test_batch_matches_single(self):
         m = init_model(3, 4, 2, 3, seed=1)
@@ -70,9 +112,9 @@ class TestForward:
         feats = rng.standard_normal((5, 3))
         out = forward_batch(m, feats)
         for i in range(5):
-            single = forward(m, Sample(i, feats[i], 0))
-            np.testing.assert_allclose(out["probs"][i], single.probs, atol=1e-12)
-            assert out["weight"][i] == pytest.approx(single.weight)
+            single = forward_one(m, feats[i])
+            np.testing.assert_allclose(out["probs"][i], single["probs"], atol=1e-12)
+            assert out["weight"][i] == pytest.approx(single["weight"])
 
     def test_bad_batch_shape(self):
         m = init_model(3, 4, 2, 3, seed=0)
@@ -81,28 +123,31 @@ class TestForward:
 
 
 class TestWceLoss:
+    """`batch_loss`: cross-entropy on the weight-scaled logits."""
+
     def test_weight_one_reduces_to_plain_ce(self):
         m = saturated_weight_model(40.0)
-        out = forward(m, Sample(0, np.array([1.0, 0.2, -0.5]), 0))
-        assert wce_loss(out, 1) == pytest.approx(cross_entropy(out.probs, 1), abs=1e-9)
+        x = np.array([[1.0, 0.2, -0.5]])
+        probs = forward_batch(m, x)["probs"][0]
+        assert batch_loss(m, x, [1]) == pytest.approx(cross_entropy(probs, 1), abs=1e-9)
 
     def test_weight_zero_gives_log_k(self):
         m = saturated_weight_model(-40.0)
-        out = forward(m, Sample(0, np.array([1.0, 0.2, -0.5]), 0))
-        assert wce_loss(out, 2) == pytest.approx(math.log(3), abs=1e-9)
+        x = np.array([[1.0, 0.2, -0.5]])
+        assert batch_loss(m, x, [2]) == pytest.approx(math.log(3), abs=1e-9)
 
     def test_matches_scalar_recomputation(self):
         m = init_model(3, 4, 2, 3, seed=11)
         x = np.array([0.7, -0.3, 1.1])
-        out = forward(m, Sample(0, x, 0))
-        expected = cross_entropy(softmax(out.weight * out.logits), 1)
-        assert wce_loss(out, 1) == pytest.approx(expected, abs=1e-12)
+        out = forward_one(m, x)
+        expected = cross_entropy(softmax(out["weight"] * out["logits"]), 1)
+        assert batch_loss(m, x[None, :], [1]) == pytest.approx(expected, abs=1e-12)
 
     def test_label_out_of_range(self):
         m = init_model(3, 4, 2, 3, seed=0)
-        out = forward(m, Sample(0, np.zeros(3), 0))
-        with pytest.raises(ConfigurationError):
-            wce_loss(out, 5)
+        for label in (5, 3, -1):
+            with pytest.raises(ConfigurationError):
+                batch_loss(m, np.zeros((2, 3)), [0, label])
 
 
 class TestBackward:
@@ -115,7 +160,7 @@ class TestBackward:
             wb_hidden=LinearLayer(np.zeros((2, 2)), np.zeros(2)),
             wb_out=LinearLayer(np.zeros((1, 2)), np.array([40.0])),
         )
-        grads = backward(m, Sample(0, np.array([1.0, 1.0]), 0), 0)
+        grads, _ = backward_batch(m, np.array([[1.0, 1.0]]), np.array([0]))
         total = math.sqrt(sum(float(np.sum(g**2)) for g in grads))
         assert total < 1e-6
 
@@ -147,6 +192,94 @@ class TestBackward:
         labels = rng.integers(0, 3, 6)
         _, loss = backward_batch(m, feats, labels)
         assert loss == pytest.approx(batch_loss(m, feats, labels), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bits_match_layerwise_reference(self, seed):
+        # Training reports stay byte-identical only if the inline layers
+        # and in-place gradient writes keep every float operation.
+        rng = np.random.default_rng(seed)
+        m = init_model(16, 16, 4, 7, seed=seed)
+        n = [1, 7, 64, 64, 33][seed]
+        feats = rng.standard_normal((n, 16)) * 3.0
+        labels = rng.integers(0, 7, n)
+        grads, loss = backward_batch(m, feats, labels)
+        want, want_loss = reference_backward(m, feats, labels)
+        assert loss == want_loss
+        for g, w in zip(grads, want):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+
+
+class TestFlatLayout:
+    @staticmethod
+    def models(tmp_path):
+        m = init_model(3, 4, 2, 3, seed=6)
+        path = tmp_path / "model.ckpt"
+        save_model(m, path)
+        return {"init": m, "loaded": load_model(path), "hand-built": zero_model()}
+
+    def test_parameters_are_views_of_flat_in_order(self, tmp_path):
+        for name, m in self.models(tmp_path).items():
+            params = m.parameters()
+            assert m.flat.dtype == np.float64 and m.flat.flags.c_contiguous
+            assert m.flat.size == sum(p.size for p in params) == m.grad.size
+            assert all(np.shares_memory(p, m.flat) for p in params), name
+            m.flat[:] = np.arange(m.flat.size)
+            np.testing.assert_array_equal(
+                np.concatenate([p.ravel() for p in params]), m.flat
+            )
+
+    def test_edit_through_layer_shows_in_flat(self):
+        m = zero_model(input_dim=3, embed=4, hidden=2, n_classes=3)
+        m.classifier.bias[1] = 7.0
+        m.wb_out.weight[0, 1] = -2.0
+        offset = 4 * 3 + 4 + 3 * 4  # encoder weight and bias, classifier weight
+        assert m.flat[offset + 1] == 7.0
+        assert m.flat[-2] == -2.0
+        assert np.count_nonzero(m.flat) == 2
+
+    def test_flat_step_equals_per_array_step(self):
+        rng = np.random.default_rng(3)
+        m = init_model(5, 6, 3, 4, seed=1)
+        m.grad[:] = rng.standard_normal(m.grad.size)
+        velocity = rng.standard_normal(m.flat.size)
+        params = [p.copy() for p in m.parameters()]
+        grads = split_like(m.grad.copy(), params)
+        velocities = split_like(velocity.copy(), params)
+        sgd_momentum_step(params, grads, velocities, 0.05, 0.9)
+        sgd_momentum_step([m.flat], [m.grad], [velocity], 0.05, 0.9)
+        np.testing.assert_array_equal(
+            np.concatenate([p.ravel() for p in params]), m.flat
+        )
+        np.testing.assert_array_equal(
+            np.concatenate([v.ravel() for v in velocities]), velocity
+        )
+
+    def test_grads_are_views_of_grad(self):
+        rng = np.random.default_rng(4)
+        m = init_model(3, 4, 2, 3, seed=2)
+        feats = rng.standard_normal((5, 3))
+        grads, _ = backward_batch(m, feats, rng.integers(0, 3, 5))
+        assert [g.shape for g in grads] == [p.shape for p in m.parameters()]
+        assert all(np.shares_memory(g, m.grad) for g in grads)
+        np.testing.assert_array_equal(
+            np.concatenate([g.ravel() for g in grads]), m.grad
+        )
+        first = grads[0].copy()
+        backward_batch(m, -feats, rng.integers(0, 3, 5))
+        assert not np.array_equal(grads[0], first)  # overwritten by the next call
+
+    def test_loaded_model_matches_finite_differences(self, tmp_path):
+        m = self.models(tmp_path)["loaded"]
+        rng = np.random.default_rng(5)
+        feats = rng.standard_normal((4, 3))
+        labels = np.array([1, 0, 2, 2])
+        grads, _ = backward_batch(m, feats, labels)
+        fd = finite_difference_gradient(
+            lambda: batch_loss(m, feats, labels), m.parameters()
+        )
+        for g, f in zip(grads, fd):
+            assert np.abs(g - f).max() / max(np.abs(f).max(), 1e-8) < 1e-4
 
 
 class TestInit:
