@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .dataset import QUALITY_LOW, save_dataset
 from .errors import (
@@ -31,13 +32,13 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch-size", type=int, default=PipelineConfig.batch_size)
     p.add_argument("--epochs", type=int, default=PipelineConfig.epochs)
     p.add_argument("--warmup-epochs", type=int, default=PipelineConfig.warmup_epochs)
-    p.add_argument("--window", type=int, default=PipelineConfig.window_t,
+    p.add_argument("--window", dest="window_t", type=int, default=PipelineConfig.window_t,
                    help="trailing-window length t")
     p.add_argument("--lambda", dest="lam", type=float, default=PipelineConfig.lam,
                    help="pruning threshold")
     p.add_argument("--tau", type=float, default=PipelineConfig.tau,
                    help="correction score-gap threshold")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--score-source", choices=["annotated_class", "max_class"],
                    default=PipelineConfig.score_source)
     p.add_argument("--prob-source", choices=["weighted", "unweighted"],
@@ -49,22 +50,20 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> PipelineConfig:
-    return PipelineConfig(
-        learning_rate=args.learning_rate,
-        momentum=args.momentum,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        warmup_epochs=args.warmup_epochs,
-        window_t=args.window,
-        lam=args.lam,
-        tau=args.tau,
-        seed=args.seed,
-        score_source=args.score_source,
-        prob_source=args.prob_source,
-        embed_dim=args.embed_dim,
-        hidden_dim=args.hidden_dim,
-        train_fraction=args.train_fraction,
-    )
+    """Every flag of `_add_train_flags` has its config field as `dest`."""
+    return PipelineConfig(**{f.name: getattr(args, f.name) for f in fields(PipelineConfig)})
+
+
+def _parse_list(flag: str, text: str, kind: type) -> list:
+    """The comma-separated items of `text`, each converted by `kind`."""
+    items = []
+    for item in text.split(","):
+        try:
+            items.append(kind(item))
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ConfigurationError(f"{flag}: {item!r} is not {what}") from None
+    return items
 
 
 def _cmd_generate(args) -> int:
@@ -107,11 +106,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _config_from_args(args)
-    values_type = int if args.param == "window" else float
-    values = [values_type(v) for v in args.values.split(",")]
-    seeds = [int(s) for s in args.seeds.split(",")]
+    values = _parse_list("--values", args.values, int if args.param == "window" else float)
+    seeds = _parse_list("--seeds", args.seeds, int)
     result = sweep(config, args.param, values, args.dataset,
                    mode=CLI_MODES[args.mode], seeds=seeds)
+    print("stages: " + ", ".join(
+        f"{stage} computed {n['computed']} reused {n['reused']}"
+        for stage, n in result["stages"].items()), file=sys.stderr)
     csv = sweep_to_csv(result)
     if args.out:
         with open(args.out, "w") as f:

@@ -13,6 +13,7 @@ Training code must never read them; they are only reachable through the
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -197,6 +198,15 @@ class Dataset:
     def labels(self) -> np.ndarray:
         return self._labels
 
+    def fingerprint(self) -> str:
+        """sha256 of what training reads: n_classes, dim, ids, labels and
+        features. The oracle columns are left out; training never reads
+        them."""
+        h = hashlib.sha256(f"{self.n_classes},{self.dim},{len(self)};".encode())
+        for column in (self.id_array, self._labels, self._features):
+            h.update(np.ascontiguousarray(column))
+        return h.hexdigest()
+
     def subset(self, keep_ids: Iterable[int]) -> "Dataset":
         """The samples whose id is in `keep_ids`, in this dataset's order."""
         keep = np.isin(self.id_array, np.fromiter(keep_ids, dtype=np.int64))
@@ -267,8 +277,13 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    with open(path) as f:
-        raw_lines = f.read().splitlines()
+    try:
+        with open(path) as f:
+            raw_lines = f.read().splitlines()
+    except OSError as e:
+        raise ParseError(f"{path}: cannot read: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not a text file: {e}") from e
     if not raw_lines:
         raise ParseError(f"{path}: empty file, missing header")
     try:

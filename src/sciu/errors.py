@@ -14,7 +14,7 @@ class ValidationError(SciuError):
 
 
 class ParseError(SciuError):
-    """Malformed input file."""
+    """Unreadable or malformed input file."""
 
 
 class LogicError(SciuError):

@@ -4,6 +4,10 @@ correction only / both), report assembly, and hyperparameter sweeps.
 A RunReport is a plain JSON-serializable dict written with sorted keys and
 fixed separators, so identical configs and seeds produce byte-identical
 report files.
+
+Within one `sweep`, cells that give a stage the same inputs share one
+computation of it (`StageMemo`); a plain `run_pipeline` call computes every
+stage.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ from typing import Optional
 import numpy as np
 
 from .dataset import Dataset, load_dataset, stratified_split
-from .errors import ConfigurationError, EvaluationError, SciuError
+from .errors import ConfigurationError, EvaluationError, ParseError, SciuError
 from .metrics import ConfusionMatrix, correction_quality, pruning_quality, uar, war
 from .model import forward_batch
-from .trainer import StageResult, TrainConfig, evaluate, train_stage
+from .trainer import STAGE_FIELDS, STAGES, StageResult, TrainConfig, evaluate, train_stage
 
 MODES = ("baseline", "cgp_only", "fgc_only", "sciu")
 
@@ -37,12 +41,49 @@ class PipelineConfig(TrainConfig):
             raise ConfigurationError("train_fraction must be in (0, 1)")
 
 
+class StageMemo:
+    """Stage results shared by the cells of one sweep.
+
+    A stage's result is keyed by the stage, the values of the config fields
+    it reads (`STAGE_FIELDS`) and the content fingerprints of its training
+    input and of the test split, so cells that agree on all of them compute
+    it once. A stage that raises is not kept: it raises again in every cell
+    that reaches it. `counts` holds, per stage, how many results were
+    computed (and returned) and how many were reused.
+    """
+
+    def __init__(self):
+        self.results: dict[tuple, StageResult] = {}
+        self.counts = {stage: {"computed": 0, "reused": 0} for stage in STAGES}
+
+
+def _train(
+    dataset: Dataset, config: TrainConfig, stage: str, test: Dataset,
+    memo: Optional[StageMemo],
+) -> StageResult:
+    """`train_stage`, or the result of an earlier call with the same inputs
+    when `memo` holds one. The result may be shared: read it, never change
+    it."""
+    if memo is None:
+        return train_stage(dataset, config, stage, test)
+    # repr keeps 3 and 3.0 (or 0.0 and -0.0) apart, which == would not.
+    values = repr(tuple(getattr(config, f) for f in STAGE_FIELDS[stage]))
+    key = (stage, values, dataset.fingerprint(), test.fingerprint())
+    result = memo.results.get(key)
+    if result is None:
+        result = memo.results[key] = train_stage(dataset, config, stage, test)
+        memo.counts[stage]["computed"] += 1
+    else:
+        memo.counts[stage]["reused"] += 1
+    return result
+
+
 def _stage_fragment(result: StageResult, role: str) -> dict:
     return {
         "role": role,
         "stage": result.stage,
         "epoch_records": [r.to_dict() for r in result.epoch_records],
-        "prune_log": result.prune_log,
+        "prune_log": [dict(entry) for entry in result.prune_log],
         "correction_events": [e.to_dict() for e in result.correction_events],
     }
 
@@ -86,12 +127,15 @@ def run_pipeline(
     dataset: Dataset | str | Path,
     mode: str,
     out_dir: Optional[str | Path] = None,
+    *,
+    memo: Optional[StageMemo] = None,
 ) -> dict:
     """Run one experiment end to end and return its RunReport dict.
 
     baseline: plain training on D1. cgp_only: CGP stage then plain training
     on D3. fgc_only: FGC stage then plain training on D4. sciu: CGP, then
-    FGC on D3, then plain training on the corrected D4.
+    FGC on D3, then plain training on the corrected D4. With a `memo`,
+    stages it already holds are reused; the report is the same bytes.
     """
     config.validate()
     if mode not in MODES:
@@ -108,19 +152,19 @@ def run_pipeline(
     final_train = train
 
     if mode in ("cgp_only", "sciu"):
-        cgp_result = train_stage(train, config, "cgp", test)
+        cgp_result = _train(train, config, "cgp", test, memo)
         stages.append(_stage_fragment(cgp_result, "cgp"))
         weight_summary = _weight_summary(cgp_result, train)
         pruned_ids = set(cgp_result.pruned_ids)
         final_train = cgp_result.output_dataset
 
     if mode in ("fgc_only", "sciu"):
-        fgc_result = train_stage(final_train, config, "fgc", test)
+        fgc_result = _train(final_train, config, "fgc", test, memo)
         stages.append(_stage_fragment(fgc_result, "fgc"))
         correction_events = fgc_result.correction_events
         final_train = fgc_result.output_dataset
 
-    final_result = train_stage(final_train, config, "plain", test)
+    final_result = _train(final_train, config, "plain", test, memo)
     stages.append(_stage_fragment(final_result, "final"))
 
     test_war, test_uar, cm = evaluate(final_result.model, test)
@@ -181,14 +225,25 @@ def write_report(report: dict, out_dir: str | Path) -> Path:
     return path
 
 
+_REPORT_KEYS = ("mode", "stages", "final_test", "pruned_total", "corrected_total")
+
+
 def load_report(path: str | Path) -> dict:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as e:
+        raise ParseError(f"{path}: cannot read: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not a text file: {e}") from e
     try:
         report = json.loads(text)
     except json.JSONDecodeError as e:
-        raise SciuError(f"{path}: corrupt report: {e}") from e
-    if not isinstance(report, dict) or "mode" not in report:
-        raise SciuError(f"{path}: not a RunReport")
+        raise ParseError(f"{path}: corrupt report: {e}") from e
+    if not isinstance(report, dict):
+        raise ParseError(f"{path}: not a RunReport")
+    missing = [k for k in _REPORT_KEYS if k not in report]
+    if missing:
+        raise ParseError(f"{path}: not a RunReport, no {', '.join(missing)}")
     return report
 
 
@@ -206,7 +261,8 @@ def sweep(
     """Run the pipeline once per (value, seed) and tabulate median WAR/UAR.
 
     Child-run failures are recorded as failure markers rather than aborting
-    the whole sweep.
+    the whole sweep. The cells share one `StageMemo`, kept for this call
+    only; the result's `stages` entry counts the stages computed and reused.
     """
     if parameter not in SWEEP_PARAMS:
         raise ConfigurationError(
@@ -220,13 +276,14 @@ def sweep(
     if not isinstance(dataset, Dataset):
         dataset = load_dataset(dataset)
 
+    memo = StageMemo()
     rows = []
     for value in values:
         wars, uars, wars_true, failures = [], [], [], []
         for seed in seeds:
             cfg = PipelineConfig(**{**asdict(config), attr: value, "seed": seed})
             try:
-                rep = run_pipeline(cfg, dataset, mode)
+                rep = run_pipeline(cfg, dataset, mode, memo=memo)
                 wars.append(rep["final_test"]["war"])
                 uars.append(rep["final_test"]["uar"])
                 if rep["final_test"]["war_true"] is not None:
@@ -252,7 +309,7 @@ def sweep(
     scored = [r for r in rows if r[key] is not None]
     best = max(scored, key=lambda r: r[key])["value"] if scored else None
     return {"parameter": parameter, "mode": mode, "seeds": seeds, "rows": rows,
-            "best_value": best}
+            "best_value": best, "stages": memo.counts}
 
 
 def sweep_to_csv(result: dict) -> str:

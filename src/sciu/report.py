@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .errors import ParseError
 from .pipeline import load_report
 
 
@@ -65,9 +66,19 @@ def summary_text(report: dict) -> str:
 
 
 def render_report(report_path: str | Path, out_dir: str | Path) -> list[Path]:
-    """Emit all CSV sidecars and the text summary for one report file."""
+    """Emit all CSV sidecars and the text summary for one report file.
+
+    A report whose sections do not have the shape `run_pipeline` writes
+    raises `ParseError`.
+    """
     report = load_report(report_path)
-    out = Path(out_dir)
+    try:
+        return _render(report, Path(out_dir))
+    except (KeyError, IndexError, TypeError, ValueError) as e:
+        raise ParseError(f"{report_path}: malformed report: {type(e).__name__}: {e}") from e
+
+
+def _render(report: dict, out: Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     written = []
 

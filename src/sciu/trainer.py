@@ -28,6 +28,18 @@ from .nn_core import sgd_momentum_step
 
 STAGES = ("plain", "cgp", "fgc")
 
+# The TrainConfig fields each stage reads. A stage's result is a function of
+# these, its training input and the test split, and nothing else (so a sweep
+# can share it between cells that agree on all three).
+_PLAIN_FIELDS = (
+    "learning_rate", "momentum", "batch_size", "epochs", "seed", "embed_dim", "hidden_dim",
+)
+STAGE_FIELDS = {
+    "plain": _PLAIN_FIELDS,
+    "cgp": _PLAIN_FIELDS + ("warmup_epochs", "window_t", "lam", "score_source"),
+    "fgc": _PLAIN_FIELDS + ("warmup_epochs", "window_t", "tau", "prob_source"),
+}
+
 
 @dataclass
 class TrainConfig:
@@ -52,6 +64,8 @@ class TrainConfig:
             )
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be non-negative")
         if self.learning_rate < 0:
             raise ConfigurationError("learning_rate must be non-negative")
         if not (0.0 <= self.momentum < 1.0):

@@ -1,0 +1,272 @@
+"""Stage memo of a sweep: cells that give a stage the same inputs share one
+computation of it, and every report is the same bytes as without sharing."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from sciu import pipeline
+from sciu.dataset import stratified_split
+from sciu.pipeline import (
+    MODES,
+    PipelineConfig,
+    StageMemo,
+    report_to_json,
+    run_pipeline,
+    sweep,
+    sweep_to_csv,
+)
+from sciu.synth import SynthConfig, generate
+from sciu.trainer import STAGE_FIELDS, STAGES, TrainConfig, train_stage
+
+SEEDS = [0, 1]
+VALUES = {"lambda": [0.5, 0.7], "tau": [0.1, 0.3], "window": [2, 3]}
+
+
+def small_config(**overrides):
+    # On the dataset below these settings prune and correct in every mode.
+    base = dict(epochs=16, warmup_epochs=10, window_t=2, learning_rate=0.1)
+    base.update(overrides)
+    return PipelineConfig(**base)
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return generate(SynthConfig(per_class=40, seed=3))
+
+
+def capture(monkeypatch, use_memo=True):
+    """Record (config, report bytes) of every cell a sweep runs. With
+    `use_memo=False` the cells run without the sweep's memo."""
+    cells, memos = [], []
+    original = pipeline.run_pipeline
+
+    def recording(config, *args, memo=None, **kwargs):
+        memos.append(memo)
+        report = original(config, *args, memo=memo if use_memo else None, **kwargs)
+        cells.append((config, report_to_json(report)))
+        return report
+
+    monkeypatch.setattr(pipeline, "run_pipeline", recording)
+    return cells, memos
+
+
+def count_train_stage(monkeypatch):
+    calls = []
+    original = pipeline.train_stage
+
+    def counting(dataset, config, stage, *args, **kwargs):
+        calls.append(stage)
+        return original(dataset, config, stage, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_stage", counting)
+    return calls
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("parameter", sorted(VALUES))
+    def test_cells_and_csv_equal_uncached(self, dataset, monkeypatch, parameter, mode):
+        values = VALUES[parameter]
+        cells, _ = capture(monkeypatch)
+        result = sweep(small_config(), parameter, values, dataset, mode=mode, seeds=SEEDS)
+        assert len(cells) == len(values) * len(SEEDS)
+        for config, text in cells:
+            assert text == report_to_json(run_pipeline(config, dataset, mode))
+
+        monkeypatch.undo()
+        plain_cells, _ = capture(monkeypatch, use_memo=False)
+        uncached = sweep(small_config(), parameter, values, dataset, mode=mode, seeds=SEEDS)
+        assert sweep_to_csv(result) == sweep_to_csv(uncached)
+        assert {k: v for k, v in result.items() if k != "stages"} == \
+            {k: v for k, v in uncached.items() if k != "stages"}
+        assert cells == plain_cells
+
+    def test_purification_happens(self, dataset):
+        """The byte-identity cases compare pruned and corrected runs."""
+        report = run_pipeline(small_config(), dataset, "sciu")
+        assert report["pruned_total"] > 0
+        assert report["corrected_total"] > 0
+
+
+class TestReuse:
+    def test_tau_sweep_counts(self, dataset, monkeypatch):
+        calls = count_train_stage(monkeypatch)
+        result = sweep(small_config(), "tau", [0.1, 0.3], dataset, mode="sciu", seeds=SEEDS)
+        counts = result["stages"]
+        assert counts["cgp"] == {"computed": 2, "reused": 2}
+        assert counts["fgc"] == {"computed": 4, "reused": 0}
+        assert counts["plain"]["computed"] + counts["plain"]["reused"] == 4
+        for stage in STAGES:
+            assert calls.count(stage) == counts[stage]["computed"]
+
+    @pytest.mark.parametrize("mode, parameter", [("cgp_only", "tau"), ("fgc_only", "lambda"),
+                                                 ("baseline", "window")])
+    def test_constant_parameter_computes_each_seed_once(self, dataset, mode, parameter):
+        result = sweep(small_config(), parameter, VALUES[parameter], dataset,
+                       mode=mode, seeds=SEEDS)
+        for stage, n in result["stages"].items():
+            assert n["computed"] in (0, len(SEEDS)), stage
+            assert n["reused"] == n["computed"], stage
+        assert result["rows"][0]["per_seed_war"] == result["rows"][1]["per_seed_war"]
+
+    def test_run_pipeline_without_memo_computes_every_stage(self, dataset, monkeypatch):
+        calls = count_train_stage(monkeypatch)
+        first = run_pipeline(small_config(), dataset, "sciu")
+        second = run_pipeline(small_config(), dataset, "sciu")
+        assert calls == ["cgp", "fgc", "plain"] * 2
+        assert report_to_json(first) == report_to_json(second)
+
+    def test_consecutive_sweeps_share_no_entries(self, dataset, monkeypatch):
+        _, memos = capture(monkeypatch)
+        args = (small_config(), "tau", [0.1, 0.3], dataset)
+        first = sweep(*args, mode="sciu", seeds=SEEDS)
+        n = len(memos)
+        second = sweep(*args, mode="sciu", seeds=SEEDS)
+        a, b = memos[:n], memos[n:]
+        assert len({id(m) for m in a}) == 1 and len({id(m) for m in b}) == 1
+        assert a[0] is not b[0]
+        assert second["stages"] == first["stages"]
+        assert first["stages"]["cgp"]["computed"] == len(SEEDS)
+        shared = {id(r) for r in a[0].results.values()} & {id(r) for r in b[0].results.values()}
+        assert not shared
+
+    def test_key_holds_config_training_input_and_test_split(self, dataset):
+        memo = StageMemo()
+        train, test = stratified_split(dataset, 0.8, 0)
+        config = small_config()
+        calls = [
+            (train, config, test),
+            (train, dataclasses.replace(config, tau=0.35), test),  # not read: reused
+            (train, dataclasses.replace(config, seed=1), test),
+            (train.subset(train.ids[1:]), config, test),
+            (train, config, test.subset(test.ids[1:])),
+        ]
+        results = [pipeline._train(d, c, "plain", t, memo) for d, c, t in calls]
+        assert memo.counts["plain"] == {"computed": 4, "reused": 1}
+        assert results[1] is results[0]
+        assert len({id(r) for r in results}) == 4
+
+    def test_failures_are_not_kept(self, dataset, monkeypatch):
+        # A frozen model keeps every weight near 0.5, below a 0.9 threshold:
+        # every cell's CGP stage prunes everything and raises.
+        calls = count_train_stage(monkeypatch)
+        result = sweep(small_config(learning_rate=0.0, lam=0.9), "tau", [0.1, 0.3],
+                       dataset, mode="cgp_only", seeds=[0])
+        assert calls == ["cgp", "cgp"]
+        assert [len(r["failures"]) for r in result["rows"]] == [1, 1]
+        assert result["stages"]["cgp"] == {"computed": 0, "reused": 0}
+
+
+class TestReportAliasing:
+    def test_mutating_a_cell_report_leaves_the_next_cell(self, dataset, monkeypatch):
+        """Cells 0 and 2 share their CGP stage; each cell's prune log is
+        mangled as soon as it is returned, and no later cell sees it."""
+        cells = []
+        original = pipeline.run_pipeline
+
+        def mangling(config, *args, **kwargs):
+            report = original(config, *args, **kwargs)
+            cells.append((config, report_to_json(report)))
+            log = report["stages"][0]["prune_log"]
+            assert log
+            log[0]["S_T"] = -1.0
+            log.append({"epoch": -1})
+            return report
+
+        monkeypatch.setattr(pipeline, "run_pipeline", mangling)
+        result = sweep(small_config(), "tau", [0.1, 0.3], dataset, mode="cgp_only", seeds=SEEDS)
+        assert result["stages"]["cgp"]["reused"] == 2
+        monkeypatch.undo()
+        for config, text in cells:
+            assert text == report_to_json(run_pipeline(config, dataset, "cgp_only"))
+
+    def test_fragment_does_not_share_the_stage_log(self, dataset):
+        memo = StageMemo()
+        first = run_pipeline(small_config(tau=0.1), dataset, "cgp_only", memo=memo)
+        (result,) = [r for key, r in memo.results.items() if key[0] == "cgp"]
+        first["stages"][0]["prune_log"][0]["sample_id"] = -5
+        assert all(e["sample_id"] >= 0 for e in result.prune_log)
+        second = run_pipeline(small_config(tau=0.3), dataset, "cgp_only", memo=memo)
+        assert memo.counts["cgp"] == {"computed": 1, "reused": 1}
+        assert second["stages"][0]["prune_log"] == result.prune_log
+
+
+OTHER_VALUE = {
+    "learning_rate": lambda v: v * 0.5,
+    "momentum": lambda v: 0.5,
+    "batch_size": lambda v: v // 2,
+    "epochs": lambda v: v + 2,
+    "warmup_epochs": lambda v: v - 2,
+    "window_t": lambda v: v + 1,
+    "lam": lambda v: 0.55,
+    "tau": lambda v: 0.35,
+    "seed": lambda v: v + 1,
+    "score_source": lambda v: "annotated_class" if v == "max_class" else "max_class",
+    "prob_source": lambda v: "unweighted" if v == "weighted" else "weighted",
+    "embed_dim": lambda v: v // 2,
+    "hidden_dim": lambda v: v + 1,
+}
+
+
+def _stage_bytes(result) -> tuple:
+    fragment = report_to_json(pipeline._stage_fragment(result, "x"))
+    out = result.output_dataset
+    return fragment, result.model.flat.tobytes(), None if out is None else out.fingerprint()
+
+
+class TestProjection:
+    def test_fields_are_train_config_fields(self):
+        names = {f.name for f in dataclasses.fields(TrainConfig)}
+        assert set(STAGE_FIELDS) == set(STAGES)
+        for stage, fields in STAGE_FIELDS.items():
+            assert set(fields) <= names, stage
+            assert len(set(fields)) == len(fields), stage
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_fields_outside_the_projection_are_not_read(self, dataset, stage):
+        """Changing any config field a stage does not declare leaves its
+        fragment, its model and its output dataset unchanged."""
+        config = TrainConfig(epochs=16, warmup_epochs=8, window_t=2, learning_rate=0.1)
+        train, test = stratified_split(dataset, 0.8, 0)
+        reference = train_stage(train, config, stage, test)
+        if stage == "cgp":
+            assert reference.prune_log
+        if stage == "fgc":
+            assert reference.correction_events
+        want = _stage_bytes(reference)
+        outside = [f.name for f in dataclasses.fields(TrainConfig)
+                   if f.name not in STAGE_FIELDS[stage]]
+        assert outside
+        for name in outside:
+            value = OTHER_VALUE[name](getattr(config, name))
+            assert value != getattr(config, name)
+            changed = dataclasses.replace(config, **{name: value})
+            changed.validate()
+            assert _stage_bytes(train_stage(train, changed, stage, test)) == want, name
+
+
+class TestFingerprint:
+    def test_content_not_identity(self, dataset):
+        train, _ = stratified_split(dataset, 0.8, 0)
+        again, _ = stratified_split(dataset, 0.8, 0)
+        assert train is not again
+        assert train.fingerprint() == again.fingerprint()
+
+    def test_oracle_columns_left_out(self, dataset):
+        assert dataset.without_oracle_fields().fingerprint() == dataset.fingerprint()
+
+    def test_each_read_column_counts(self, dataset):
+        base = dataset.fingerprint()
+        first = dataset.ids[0]
+        relabeled = dataset.with_labels({first: (int(dataset.labels()[0]) + 1) % dataset.n_classes})
+        assert relabeled.fingerprint() != base
+        assert dataset.subset(dataset.ids[1:]).fingerprint() != base
+        order = np.argsort(-dataset.id_array)
+        assert dataset._take(order).fingerprint() != base
+        moved = dataset.features_matrix().copy()
+        moved[-1, -1] = np.nextafter(moved[-1, -1], np.inf)
+        shifted = dataset._derive(dataset.id_array, moved, dataset.labels(),
+                                  dataset._true_labels, dataset._quality)
+        assert shifted.fingerprint() != base

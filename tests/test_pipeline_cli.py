@@ -1,8 +1,13 @@
+import dataclasses
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sciu.cli import main
+from sciu.cli import _config_from_args, build_parser, main
 from sciu.dataset import load_dataset
 from sciu.errors import ConfigurationError, SciuError
 from sciu.pipeline import (
@@ -211,3 +216,165 @@ class TestCli:
         before = src.read_bytes()
         render_report(src, tmp_path / "rendered")
         assert src.read_bytes() == before
+
+
+    def test_sweep_prints_stage_counts(self, dataset_file, capsys):
+        code = main([
+            "sweep", "--dataset", str(dataset_file), "--param", "tau",
+            "--values", "0.1,0.3", "--seeds", "0,1", "--epochs", "25",
+            "--warmup-epochs", "10",
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        (line,) = [x for x in captured.err.splitlines() if x.startswith("stages: ")]
+        assert "cgp computed 2 reused 2" in line
+        assert "fgc computed 4 reused 0" in line
+        assert "stages" not in captured.out
+
+
+class TestCliBoundaries:
+    """Bad input at the command line is a one-line error with exit 2."""
+
+    @pytest.fixture
+    def bad_report(self, tmp_path):
+        path = tmp_path / "partial.struct"
+        path.write_text('{"mode":"sciu"}')
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--param", "window", "--values", "0.5"],
+        ["sweep", "--param", "tau", "--values", "abc"],
+        ["sweep", "--param", "tau", "--values", ","],
+        ["sweep", "--param", "tau", "--values", "0.2", "--seeds", "0,x"],
+    ])
+    def test_sweep_lists(self, dataset_file, capsys, argv):
+        code = main(argv[:1] + ["--dataset", str(dataset_file)] + argv[1:])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --") and len(err.splitlines()) == 1
+
+    def test_run_missing_dataset(self, tmp_path, capsys):
+        missing = tmp_path / "none.jsonl"
+        code = main(["run", "--dataset", str(missing), "--mode", "sciu"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {missing}: cannot read: No such file or directory\n"
+
+    def test_report_missing_file(self, tmp_path, capsys):
+        code = main(["report", "--report", str(tmp_path / "none.struct"),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_report_without_sections(self, bad_report, tmp_path, capsys):
+        code = main(["report", "--report", str(bad_report), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "not a RunReport" in err and "stages" in err
+
+    def test_report_with_malformed_section(self, noisy_dataset, tmp_path, capsys):
+        report = run_pipeline(small_config(), noisy_dataset, "baseline")
+        del report["stages"][0]["epoch_records"][0]["train_war"]
+        path = tmp_path / "bad.struct"
+        path.write_text(report_to_json(report))
+        code = main(["report", "--report", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "malformed report" in capsys.readouterr().err
+
+    def test_negative_seed(self, dataset_file, capsys):
+        code = main(["run", "--dataset", str(dataset_file), "--mode", "baseline",
+                     "--seed", "-1"])
+        assert code == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+
+    def test_missing_dataset_in_a_subprocess(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sciu.cli", "run", "--dataset",
+             str(tmp_path / "none.jsonl"), "--mode", "sciu"],
+            capture_output=True, text=True, env={"PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset_file(tmp_path_factory):
+    from sciu.dataset import save_dataset
+
+    path = tmp_path_factory.mktemp("tiny") / "tiny.jsonl"
+    save_dataset(generate(SynthConfig(per_class=8, seed=0)), path)
+    return path
+
+
+LIST_ITEMS = st.one_of(
+    st.integers(-3, 10**6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(0.0, 1.0).map(repr),
+    st.text(alphabet=" 0123456789.-+eEinfax_", max_size=5),
+)
+
+
+def comma_list(items, max_size):
+    return st.lists(items, min_size=1, max_size=max_size).map(",".join)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    param=st.sampled_from(["lambda", "tau", "window"]),
+    values=comma_list(LIST_ITEMS, 3),
+    seeds=comma_list(st.one_of(st.integers(-2, 3).map(str),
+                               st.text(alphabet=" 0123456789-x", max_size=3)), 2),
+)
+def test_sweep_lists_exit_cleanly(tiny_dataset_file, capsys, param, values, seeds):
+    """Any --values/--seeds string is a sweep (exit 0) or a one-line error."""
+    argv = ["sweep", "--dataset", str(tiny_dataset_file), "--param", param,
+            f"--values={values}", f"--seeds={seeds}", "--epochs", "5",
+            "--warmup-epochs", "1", "--window", "2"]
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse rejects the command line itself
+        code = e.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    if code != 0:
+        assert err.startswith(("error: ", "usage: "))
+
+
+def _train_flags():
+    sweep_parser = build_parser()._subparsers._group_actions[0].choices["sweep"]
+    return {a.dest: a for a in sweep_parser._actions if a.option_strings}
+
+
+NON_DEFAULT = {
+    "learning_rate": 0.02, "momentum": 0.5, "batch_size": 17, "epochs": 31,
+    "warmup_epochs": 7, "window_t": 5, "lam": 0.55, "tau": 0.35, "seed": 4,
+    "score_source": "annotated_class", "prob_source": "unweighted",
+    "embed_dim": 9, "hidden_dim": 6, "train_fraction": 0.6,
+}
+
+
+class TestConfigFromArgs:
+    def test_every_field_has_a_flag(self):
+        flags = _train_flags()
+        for f in dataclasses.fields(PipelineConfig):
+            assert f.name in flags, f.name
+            assert flags[f.name].default == f.default, f.name
+        assert set(NON_DEFAULT) == {f.name for f in dataclasses.fields(PipelineConfig)}
+
+    @pytest.mark.parametrize("name", sorted(NON_DEFAULT))
+    def test_field_round_trips(self, name):
+        value = NON_DEFAULT[name]
+        assert value != getattr(PipelineConfig(), name)
+        flag = _train_flags()[name].option_strings[0]
+        for command in (["run", "--mode", "sciu"], ["sweep", "--param", "tau", "--values", "0.2"]):
+            args = build_parser().parse_args(
+                command[:1] + ["--dataset", "d.jsonl"] + command[1:] + [flag, str(value)])
+            assert _config_from_args(args) == PipelineConfig(**{name: value})
+
+    def test_flag_names_unchanged(self):
+        flags = _train_flags()
+        assert flags["window_t"].option_strings == ["--window"]
+        assert flags["lam"].option_strings == ["--lambda"]
