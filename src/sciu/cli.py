@@ -10,15 +10,10 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from pathlib import Path
 
-from .dataset import QUALITY_LOW, save_dataset
-from .errors import (
-    ConfigurationError,
-    DegenerateRunError,
-    NumericError,
-    SciuError,
-    ValidationError,
-)
+from .dataset import QUALITY_CODES, QUALITY_LOW, save_dataset
+from .errors import ConfigurationError, DegenerateRunError, NumericError, SciuError
 from .pipeline import PipelineConfig, run_pipeline, sweep, sweep_to_csv, write_report
 from .report import render_report
 from .synth import SynthConfig, generate
@@ -66,24 +61,27 @@ def _parse_list(flag: str, text: str, kind: type) -> list:
     return items
 
 
+def _check_output(flag: str, path: str, directory: bool = False) -> None:
+    """Reject an output path before any work runs: a file's directory must
+    exist, and so must a directory's nearest existing parent."""
+    target = Path(path)
+    if directory:
+        parent = next((p for p in (target, *target.parents) if p.exists()), target)
+    else:
+        parent = target.parent
+    if (target.exists() and target.is_dir() != directory) or not parent.is_dir():
+        kind = "directory" if directory else "file"
+        raise ConfigurationError(f"{flag} {path}: cannot write a {kind} there")
+
+
 def _cmd_generate(args) -> int:
-    config = SynthConfig(
-        n_classes=args.n_classes,
-        dim=args.dim,
-        per_class=args.per_class,
-        low_quality_rate=args.low_quality_rate,
-        mislabel_rate=args.mislabel_rate,
-        neutral_bias_fraction=args.neutral_bias_fraction,
-        intensity_low=args.intensity_low,
-        intensity_high=args.intensity_high,
-        cluster_spread=args.cluster_spread,
-        seed=args.seed,
-    )
+    _check_output("--out", args.out)
+    config = SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)})
     dataset = generate(config)
     save_dataset(dataset, args.out)
-    samples = dataset.samples
-    n_low = sum(1 for s in samples if s.quality_flag == QUALITY_LOW)
-    n_mis = sum(1 for s in samples if s.true_label is not None and s.label != s.true_label)
+    true_labels, quality = dataset.oracle_columns()
+    n_low = int((quality == QUALITY_CODES[QUALITY_LOW]).sum())
+    n_mis = int(((true_labels >= 0) & (dataset.labels() != true_labels)).sum())
     print(f"wrote {len(dataset)} samples to {args.out}")
     print(f"classes: {dataset.n_classes}  dim: {dataset.dim}")
     print(f"low_quality: {n_low}  mislabeled: {n_mis}  "
@@ -93,6 +91,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _config_from_args(args)
+    if args.out_dir:
+        _check_output("--out-dir", args.out_dir, directory=True)
     report = run_pipeline(config, args.dataset, CLI_MODES[args.mode])
     if args.out_dir:
         write_report(report, args.out_dir)
@@ -108,6 +108,8 @@ def _cmd_sweep(args) -> int:
     config = _config_from_args(args)
     values = _parse_list("--values", args.values, int if args.param == "window" else float)
     seeds = _parse_list("--seeds", args.seeds, int)
+    if args.out:
+        _check_output("--out", args.out)
     result = sweep(config, args.param, values, args.dataset,
                    mode=CLI_MODES[args.mode], seeds=seeds)
     print("stages: " + ", ".join(
@@ -123,6 +125,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    _check_output("--out-dir", args.out_dir, directory=True)
     written = render_report(args.report, args.out_dir)
     for p in written:
         print(f"wrote {p}")
@@ -139,18 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="generate a synthetic noisy dataset")
     g.add_argument("--out", required=True)
-    g.add_argument("--n-classes", type=int, default=SynthConfig.n_classes)
-    g.add_argument("--dim", type=int, default=SynthConfig.dim)
-    g.add_argument("--per-class", type=int, default=SynthConfig.per_class)
-    g.add_argument("--low-quality-rate", type=float,
-                   default=SynthConfig.low_quality_rate)
-    g.add_argument("--mislabel-rate", type=float, default=SynthConfig.mislabel_rate)
-    g.add_argument("--neutral-bias-fraction", type=float,
-                   default=SynthConfig.neutral_bias_fraction)
-    g.add_argument("--intensity-low", type=float, default=SynthConfig.intensity_low)
-    g.add_argument("--intensity-high", type=float, default=SynthConfig.intensity_high)
-    g.add_argument("--cluster-spread", type=float, default=SynthConfig.cluster_spread)
-    g.add_argument("--seed", type=int, default=0)
+    for f in fields(SynthConfig):
+        g.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     g.set_defaults(func=_cmd_generate)
 
     r = sub.add_parser("run", help="run one pipeline mode on a dataset")
@@ -183,16 +176,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, ValidationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except DegenerateRunError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except NumericError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except SciuError as e:
+    except (SciuError, OSError) as e:  # OSError: an output that still cannot be written
         print(f"error: {e}", file=sys.stderr)
         return 2
 

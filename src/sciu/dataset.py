@@ -7,8 +7,10 @@ is one sample record {"id", "features", "label", "true_label"?,
 save -> load -> save is byte-stable.
 
 `true_label` and `quality_flag` are oracle fields for evaluation only.
-Training code must never read them; they are only reachable through the
-`oracle_*` accessors, which the metrics module uses.
+Training code must never read them; they are only reachable through
+`Dataset.oracle_columns`, whose readers are `metrics.pruning_quality`,
+`metrics.correction_quality`, the true-label test metrics of
+`pipeline.run_pipeline` and the summary of `sciu generate`.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .errors import ParseError, ValidationError
 
 QUALITY_CLEAN = "clean"
 QUALITY_LOW = "low_quality"
+# Codes of the quality column; -1 marks a sample without a quality flag.
+QUALITY_CODES = {None: -1, QUALITY_CLEAN: 0, QUALITY_LOW: 1}
 
 
 @dataclass(frozen=True)
@@ -62,8 +66,7 @@ class CorrectionEvent:
         }
 
 
-_QUALITY_CODES = {None: -1, QUALITY_CLEAN: 0, QUALITY_LOW: 1}
-_QUALITY_NAMES = {code: name for name, code in _QUALITY_CODES.items()}
+_QUALITY_NAMES = {code: name for name, code in QUALITY_CODES.items()}
 
 
 def _is_int(value) -> bool:
@@ -93,7 +96,7 @@ def _columns(samples: list[Sample], dim: int) -> tuple[np.ndarray, ...]:
                 f"sample {s.id}: true_label {s.true_label!r} is not a class index"
             )
         if not isinstance(s.quality_flag, (str, type(None))) or \
-                s.quality_flag not in _QUALITY_CODES:
+                s.quality_flag not in QUALITY_CODES:
             raise ValidationError(f"sample {s.id}: unknown quality_flag {s.quality_flag!r}")
         if s.features.shape != (dim,):
             raise ValidationError(
@@ -106,28 +109,40 @@ def _columns(samples: list[Sample], dim: int) -> tuple[np.ndarray, ...]:
             np.array([s.label for s in samples], dtype=np.int64),
             np.array([-1 if s.true_label is None else s.true_label for s in samples],
                      dtype=np.int64),
-            np.array([_QUALITY_CODES[s.quality_flag] for s in samples], dtype=np.int8),
+            np.array([QUALITY_CODES[s.quality_flag] for s in samples], dtype=np.int8),
         )
-    except OverflowError as e:
-        raise ValidationError(f"sample id or label out of int64 range: {e}") from e
+    except (OverflowError, ValueError) as e:  # e.g. 2**63, or a dim too big for numpy
+        raise ValidationError(f"sample id, label or dim out of range: {e}") from e
 
 
 class Dataset:
     """Samples stored column-wise: ids (n,), features (n, dim), labels (n,)
     and the two oracle columns (-1 where a sample has no oracle value).
 
-    Built from `Sample`s and validated once; `subset`, `with_labels` and
-    `stratified_split` gather from columns that are already valid. The
-    columns are read-only, so the accessors return them without copying.
+    Built from `Sample`s or from columns (`from_columns`) and validated
+    once; `subset`, `with_labels` and `stratified_split` gather from
+    columns that are already valid. The columns are read-only, so the
+    accessors return them without copying.
     """
 
     def __init__(self, samples: Iterable[Sample], n_classes: int, dim: int):
-        self.n_classes = n_classes
-        self.dim = dim
-        self._set_columns(*_columns(list(samples), dim))
+        self._set_columns(n_classes, dim, *_columns(list(samples), dim))
         self.validate()
 
-    def _set_columns(self, ids, features, labels, true_labels, quality) -> None:
+    @classmethod
+    def from_columns(
+        cls, ids, features, labels, true_labels, quality, n_classes: int, dim: int
+    ) -> "Dataset":
+        """A dataset that takes over (and makes read-only) ready columns:
+        int64 ids, labels and true labels (-1 where absent), (n, dim) float64
+        features, int8 `QUALITY_CODES`. Validated as `Sample`-built ones are."""
+        out = object.__new__(cls)
+        out._set_columns(n_classes, dim, ids, features, labels, true_labels, quality)
+        out.validate()
+        return out
+
+    def _set_columns(self, n_classes, dim, ids, features, labels, true_labels, quality):
+        self.n_classes, self.dim = n_classes, dim
         self.id_array = _readonly(ids)
         self._features = _readonly(features)
         self._labels = _readonly(labels)
@@ -137,8 +152,7 @@ class Dataset:
     def _derive(self, ids, features, labels, true_labels, quality) -> "Dataset":
         """A dataset over columns gathered from this one (no validation)."""
         out = object.__new__(Dataset)
-        out.n_classes, out.dim = self.n_classes, self.dim
-        out._set_columns(ids, features, labels, true_labels, quality)
+        out._set_columns(self.n_classes, self.dim, ids, features, labels, true_labels, quality)
         return out
 
     def _take(self, index: np.ndarray) -> "Dataset":
@@ -148,8 +162,15 @@ class Dataset:
         )
 
     def validate(self) -> None:
-        """Distinct ids, labels in [0, n_classes) and finite features."""
+        """Column types and shapes, distinct ids, labels in [0, n_classes)
+        and finite features."""
         ids = self.id_array
+        columns = (ids, self._features, self._labels, self._true_labels, self._quality)
+        layout = [(c.dtype, c.shape) for c in columns]
+        n = len(ids)
+        if layout != [(np.int64, (n,)), (np.float64, (n, self.dim)), (np.int64, (n,)),
+                      (np.int64, (n,)), (np.int8, (n,))]:
+            raise ValidationError(f"column dtypes and shapes {layout} do not match")
         _, first = np.unique(ids, return_index=True)
         if len(first) < len(ids):
             repeat = np.ones(len(ids), dtype=bool)
@@ -183,7 +204,7 @@ class Dataset:
 
     @property
     def samples(self) -> list[Sample]:
-        """The rows as `Sample`s, built on each access (for I/O and tests)."""
+        """The rows as `Sample`s, built on each access."""
         return [
             Sample(i, f, lab, None if t < 0 else t, _QUALITY_NAMES[q])
             for i, f, lab, t, q in zip(
@@ -235,21 +256,10 @@ class Dataset:
             self.id_array, self._features, self._labels, absent, absent.astype(np.int8)
         )
 
-    # Oracle accessors -- evaluation only, never used on a training path.
-    def oracle_true_labels(self) -> dict[int, Optional[int]]:
-        return {
-            i: None if t < 0 else t
-            for i, t in zip(self.ids, self._true_labels.tolist())
-        }
-
-    def oracle_quality_flags(self) -> dict[int, Optional[str]]:
-        return {
-            i: _QUALITY_NAMES[q] for i, q in zip(self.ids, self._quality.tolist())
-        }
-
-
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+    def oracle_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(true labels, quality codes), aligned with `id_array`; -1 marks
+        an absent value. Evaluation only, never read on a training path."""
+        return self._true_labels, self._quality
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -263,13 +273,16 @@ def save_dataset(dataset: Dataset, path) -> None:
             separators=(",", ":"),
         )
     ]
-    for s in dataset.samples:
-        feats = ",".join(_fmt_float(v) for v in s.features.tolist())
-        parts = [f'"id":{s.id}', f'"features":[{feats}]', f'"label":{s.label}']
-        if s.true_label is not None:
-            parts.append(f'"true_label":{s.true_label}')
-        if s.quality_flag is not None:
-            parts.append(f'"quality_flag":"{s.quality_flag}"')
+    for sid, row, label, true_label, code in zip(
+        dataset.ids, dataset._features.tolist(), dataset._labels.tolist(),
+        dataset._true_labels.tolist(), dataset._quality.tolist(),
+    ):
+        feats = ",".join(format(v, ".17g") for v in row)
+        parts = [f'"id":{sid}', f'"features":[{feats}]', f'"label":{label}']
+        if true_label >= 0:
+            parts.append(f'"true_label":{true_label}')
+        if code >= 0:
+            parts.append(f'"quality_flag":"{_QUALITY_NAMES[code]}"')
         lines.append("{" + ",".join(parts) + "}")
     with open(path, "w") as f:
         f.write("\n".join(lines))
@@ -319,7 +332,7 @@ def load_dataset(path) -> Dataset:
             )
         except KeyError as e:
             raise ParseError(f"{path}:{lineno}: missing field {e}") from e
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"{path}:{lineno}: features are not numbers: {e}") from e
     return Dataset(samples, n_classes=header["n_classes"], dim=header["dim"])
 

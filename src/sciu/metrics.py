@@ -3,10 +3,10 @@ purification quality.
 
 WAR is recall weighted by class support, i.e. overall accuracy. UAR is the
 unweighted mean of per-class recalls; classes with no true samples are
-excluded and reported rather than counted as zero.
+left out rather than counted as zero.
 
-`pruning_quality` and `correction_quality` are the only consumers of the
-dataset's oracle fields.
+`pruning_quality` and `correction_quality` read the dataset's oracle
+columns, for evaluation only.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .dataset import CorrectionEvent, Dataset, QUALITY_LOW
+from .dataset import CorrectionEvent, Dataset, QUALITY_CODES, QUALITY_LOW
 from .errors import EvaluationError
 
 
@@ -54,20 +54,13 @@ def war(cm: ConfusionMatrix) -> float:
 
 
 def uar(cm: ConfusionMatrix) -> float:
-    value, _ = uar_with_exclusions(cm)
-    return value
-
-
-def uar_with_exclusions(cm: ConfusionMatrix) -> tuple[float, list[int]]:
-    """Mean per-class recall plus the list of classes excluded for having
-    no true samples."""
+    """Mean per-class recall over the classes that have true samples."""
     row_totals = cm.counts.sum(axis=1)
     present = row_totals > 0
     if not present.any():
         raise EvaluationError("UAR undefined: no class has any true sample")
     recalls = np.diag(cm.counts)[present] / row_totals[present]
-    excluded = [int(c) for c in np.flatnonzero(~present)]
-    return float(recalls.mean()), excluded
+    return float(recalls.mean())
 
 
 def pruning_quality(
@@ -77,14 +70,14 @@ def pruning_quality(
 
     Precision is None when nothing was pruned.
     """
-    flags = dataset.oracle_quality_flags()
-    if any(v is None for v in flags.values()):
+    _, quality = dataset.oracle_columns()
+    if (quality < 0).any():
         raise EvaluationError("pruning_quality requires oracle quality flags")
-    pruned = set(pruned_ids)
-    low = {i for i, f in flags.items() if f == QUALITY_LOW}
-    hit = len(pruned & low)
-    precision = hit / len(pruned) if pruned else None
-    recall = hit / len(low) if low else None
+    pruned = np.fromiter(set(pruned_ids), dtype=np.int64)
+    low = dataset.id_array[quality == QUALITY_CODES[QUALITY_LOW]]
+    hit = int(np.isin(low, pruned).sum())
+    precision = hit / len(pruned) if len(pruned) else None
+    recall = hit / len(low) if len(low) else None
     return {"precision": precision, "recall": recall}
 
 
@@ -96,11 +89,12 @@ def correction_quality(
 
     Both None when there are no events.
     """
-    truth = dataset.oracle_true_labels()
-    if any(v is None for v in truth.values()):
+    true_labels, _ = dataset.oracle_columns()
+    if (true_labels < 0).any():
         raise EvaluationError("correction_quality requires oracle true labels")
     if not events:
         return {"correction_accuracy": None, "harmful_rate": None}
+    truth = dict(zip(dataset.ids, true_labels.tolist()))
     good = sum(1 for e in events if e.new_label == truth[e.sample_id])
     harmful = sum(
         1

@@ -10,7 +10,9 @@ For input features v the model computes
 The training loss is cross-entropy on softmax(w * z); the weight branch is
 trained end-to-end through that scaling. `backward_batch` is the
 hand-derived analytic gradient of this loss, checked against finite
-differences in the test suite.
+differences in the test suite. It and `forward_batch` run the same forward,
+`_forward`, so training and inference compute every layer with the same
+float operations.
 
 Parameters live in one contiguous float64 vector, `model.flat`: the eight
 arrays of `parameters()` one after another, in that order, each row-major.
@@ -26,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError
-from .nn_core import LinearLayer, linear_forward, relu, sigmoid, softmax
+from .errors import ConfigurationError
+from .nn_core import LinearLayer
 
 
 @dataclass
@@ -102,27 +104,48 @@ def init_model(
     )
 
 
+def _forward(model: SciuModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The layers over a float64 (n, input_dim) batch: (pre_emb, emb,
+    logits, pre_hid, hidden, w, wp), with w the (n,) sample weights and wp
+    = softmax(w * logits). `backward_batch` reads all of them."""
+    enc, cls, hid, out = model.encoder, model.classifier, model.wb_hidden, model.wb_out
+    pre_emb = x @ enc.weight.T + enc.bias
+    emb = np.maximum(pre_emb, 0.0)
+    logits = emb @ cls.weight.T + cls.bias
+    pre_hid = emb @ hid.weight.T + hid.bias
+    hidden = np.maximum(pre_hid, 0.0)
+    pre_sig = (hidden @ out.weight.T + out.bias)[:, 0]
+    # Stable sigmoid: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below.
+    e = np.exp(-np.abs(pre_sig))
+    w = np.where(pre_sig >= 0, 1.0, e) / (1.0 + e)
+    wp = _softmax_rows(w[:, None] * logits)
+    return pre_emb, emb, logits, pre_hid, hidden, w, wp
+
+
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a fresh array, in place: subtract the row max,
+    exponentiate, normalize."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
 def forward_batch(model: SciuModel, features: np.ndarray) -> dict[str, np.ndarray]:
     """Vectorized forward over a (n, input_dim) batch.
 
-    Returns embeddings, logits, probs, weights (n,), and weighted_probs.
+    Returns logits, probs, weights (n,), and weighted_probs, from the same
+    `_forward` that `backward_batch` differentiates.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != model.input_dim:
         raise ConfigurationError(
             f"batch shape {features.shape} incompatible with input dim {model.input_dim}"
         )
-    emb = relu(linear_forward(model.encoder, features))
-    logits = linear_forward(model.classifier, emb)
-    hidden = relu(linear_forward(model.wb_hidden, emb))
-    pre_sig = linear_forward(model.wb_out, hidden)[:, 0]
-    weights = sigmoid(pre_sig)
-    probs = softmax(logits)
-    weighted_probs = softmax(weights[:, None] * logits)
+    _, _, logits, _, _, weights, weighted_probs = _forward(model, features)
     return {
-        "embedding": emb,
         "logits": logits,
-        "probs": probs,
+        "probs": _softmax_rows(logits.copy()),
         "weight": weights,
         "weighted_probs": weighted_probs,
     }
@@ -146,31 +169,17 @@ def backward_batch(
     """Mean-loss gradients for every parameter, order matching parameters().
 
     Returns (grads, mean loss). The grads are views of `model.grad`, which
-    the next call overwrites. This is the training hot path: it computes
-    the layers inline rather than through `nn_core`, with the same float
-    operations in the same order as `forward_batch`, and leaves checking
-    labels to `batch_loss` and the dataset.
+    the next call overwrites. The forward half is `_forward`, the same one
+    `forward_batch` runs, and the gradient overwrites its softmax in place.
+    This is the training hot path: it leaves checking shapes and labels to
+    `forward_batch`, `batch_loss` and the dataset.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = features.shape[0]
-    enc, cls, hid, out = model.encoder, model.classifier, model.wb_hidden, model.wb_out
+    cls, hid, out = model.classifier, model.wb_hidden, model.wb_out
     g_enc_w, g_enc_b, g_cls_w, g_cls_b, g_hid_w, g_hid_b, g_out_w, g_out_b = model._grads
-
-    pre_emb = features @ enc.weight.T + enc.bias
-    emb = np.maximum(pre_emb, 0.0)
-    logits = emb @ cls.weight.T + cls.bias
-    pre_hid = emb @ hid.weight.T + hid.bias
-    hidden = np.maximum(pre_hid, 0.0)
-    pre_sig = (hidden @ out.weight.T + out.bias)[:, 0]
-    # Stable sigmoid: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below.
-    e = np.exp(-np.abs(pre_sig))
-    w = np.where(pre_sig >= 0, 1.0, e) / (1.0 + e)
-    # softmax(w * z), in place: subtract the row max, exponentiate, normalize.
-    wp = w[:, None] * logits
-    wp -= wp.max(axis=1, keepdims=True)
-    np.exp(wp, out=wp)
-    wp /= wp.sum(axis=1, keepdims=True)
+    pre_emb, emb, logits, pre_hid, hidden, w, wp = _forward(model, features)
 
     idx = np.arange(n)
     loss = float((-np.log(np.maximum(wp[idx, labels], 1e-12))).mean())
@@ -202,53 +211,3 @@ def backward_batch(
 
     return list(model._grads), loss
 
-
-def save_model(model: SciuModel, path) -> None:
-    """Text checkpoint: one 'name rows cols' header per tensor followed by
-    full-precision values, one row per line."""
-    names = [
-        "encoder.weight", "encoder.bias",
-        "classifier.weight", "classifier.bias",
-        "wb_hidden.weight", "wb_hidden.bias",
-        "wb_out.weight", "wb_out.bias",
-    ]
-    with open(path, "w") as f:
-        for name, arr in zip(names, model.parameters()):
-            mat = arr if arr.ndim == 2 else arr[None, :]
-            f.write(f"{name} {mat.shape[0]} {mat.shape[1]}\n")
-            for row in mat:
-                f.write(" ".join(format(v, ".17g") for v in row) + "\n")
-
-
-def load_model(path) -> SciuModel:
-    tensors = {}
-    with open(path) as f:
-        lines = f.read().splitlines()
-    i = 0
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        try:
-            name, rows, cols = lines[i].split()
-            rows, cols = int(rows), int(cols)
-            data = [
-                [float(v) for v in lines[i + 1 + r].split()] for r in range(rows)
-            ]
-        except (ValueError, IndexError) as e:
-            raise ParseError(f"{path}: malformed checkpoint near line {i + 1}") from e
-        tensors[name] = np.array(data)
-        i += 1 + rows
-    try:
-        return SciuModel(
-            encoder=LinearLayer(tensors["encoder.weight"], tensors["encoder.bias"][0]),
-            classifier=LinearLayer(
-                tensors["classifier.weight"], tensors["classifier.bias"][0]
-            ),
-            wb_hidden=LinearLayer(
-                tensors["wb_hidden.weight"], tensors["wb_hidden.bias"][0]
-            ),
-            wb_out=LinearLayer(tensors["wb_out.weight"], tensors["wb_out.bias"][0]),
-        )
-    except KeyError as e:
-        raise ParseError(f"{path}: missing tensor {e}") from e

@@ -1,4 +1,5 @@
-"""Minimal dense numerics: linear layers, activations, losses, SGD with
+"""Minimal dense numerics: linear layers, the reference primitives the tests
+check the model against (linear, activations, cross-entropy), SGD with
 momentum, and a finite-difference gradient oracle.
 
 Everything operates on float64 numpy arrays. Vectors are 1-D arrays,

@@ -24,7 +24,7 @@ from .dataset import Dataset, load_dataset, stratified_split
 from .errors import ConfigurationError, EvaluationError, ParseError, SciuError
 from .metrics import ConfusionMatrix, correction_quality, pruning_quality, uar, war
 from .model import forward_batch
-from .trainer import STAGE_FIELDS, STAGES, StageResult, TrainConfig, evaluate, train_stage
+from .trainer import STAGE_FIELDS, STAGES, StageResult, TrainConfig, train_stage
 
 MODES = ("baseline", "cgp_only", "fgc_only", "sciu")
 
@@ -109,24 +109,32 @@ def _weight_summary(result: StageResult, train: Dataset) -> dict:
     }
 
 
-def _true_label_metrics(model, test: Dataset):
-    """WAR/UAR against oracle true labels; (None, None) when the oracle is
-    absent. Evaluation-only use of the oracle fields."""
-    truth = test.oracle_true_labels()
-    if any(v is None for v in truth.values()):
-        return None, None
+def _final_test(model, test: Dataset) -> dict:
+    """The report's `final_test`, from one forward over the test split:
+    WAR/UAR of the unweighted and the weighted predictions against the
+    annotated labels, and of the unweighted ones against the oracle true
+    labels (evaluation only; None when the oracle is absent)."""
     out = forward_batch(model, test.features_matrix())
+    labels = test.labels()
     preds = np.argmax(out["probs"], axis=1)
-    labels = np.array([truth[i] for i in test.ids])
     cm = ConfusionMatrix.from_predictions(labels, preds, test.n_classes)
-    return war(cm), uar(cm)
+    cm_w = ConfusionMatrix.from_predictions(
+        labels, np.argmax(out["weighted_probs"], axis=1), test.n_classes
+    )
+    section = {"war": war(cm), "uar": uar(cm), "war_weighted": war(cm_w),
+               "uar_weighted": uar(cm_w), "war_true": None, "uar_true": None,
+               "confusion_matrix": cm.counts.tolist()}
+    true_labels, _ = test.oracle_columns()
+    if not (true_labels < 0).any():
+        cm_true = ConfusionMatrix.from_predictions(true_labels, preds, test.n_classes)
+        section.update(war_true=war(cm_true), uar_true=uar(cm_true))
+    return section
 
 
 def run_pipeline(
     config: PipelineConfig,
     dataset: Dataset | str | Path,
     mode: str,
-    out_dir: Optional[str | Path] = None,
     *,
     memo: Optional[StageMemo] = None,
 ) -> dict:
@@ -167,10 +175,6 @@ def run_pipeline(
     final_result = _train(final_train, config, "plain", test, memo)
     stages.append(_stage_fragment(final_result, "final"))
 
-    test_war, test_uar, cm = evaluate(final_result.model, test)
-    test_war_w, test_uar_w, _ = evaluate(final_result.model, test, weighted=True)
-    test_war_true, test_uar_true = _true_label_metrics(final_result.model, test)
-
     try:
         pq = pruning_quality(pruned_ids, train) if pruned_ids else None
     except EvaluationError:
@@ -180,29 +184,17 @@ def run_pipeline(
     except EvaluationError:
         cq = None
 
-    report = {
+    return {
         "mode": mode,
         "config": asdict(config),
         "stages": stages,
         "pruned_total": len(pruned_ids),
         "corrected_total": len(correction_events),
-        "final_test": {
-            "war": test_war,
-            "uar": test_uar,
-            "war_weighted": test_war_w,
-            "uar_weighted": test_uar_w,
-            "war_true": test_war_true,
-            "uar_true": test_uar_true,
-            "confusion_matrix": cm.counts.tolist(),
-        },
+        "final_test": _final_test(final_result.model, test),
         "pruning_quality": pq,
         "correction_quality": cq,
         "weight_summary": weight_summary,
     }
-
-    if out_dir is not None:
-        write_report(report, out_dir)
-    return report
 
 
 def report_to_json(report: dict) -> str:
@@ -315,8 +307,7 @@ def sweep(
 def sweep_to_csv(result: dict) -> str:
     lines = ["value,median_war,median_uar,median_war_true,n_failures"]
     for r in result["rows"]:
-        w = "" if r["median_war"] is None else f"{r['median_war']:.6f}"
-        u = "" if r["median_uar"] is None else f"{r['median_uar']:.6f}"
-        t = "" if r["median_war_true"] is None else f"{r['median_war_true']:.6f}"
-        lines.append(f"{r['value']},{w},{u},{t},{len(r['failures'])}")
+        medians = ["" if r[k] is None else f"{r[k]:.6f}"
+                   for k in ("median_war", "median_uar", "median_war_true")]
+        lines.append(",".join([f"{r['value']}", *medians, f"{len(r['failures'])}"]))
     return "\n".join(lines) + "\n"

@@ -79,25 +79,18 @@ def render_report(report_path: str | Path, out_dir: str | Path) -> list[Path]:
 
 
 def _render(report: dict, out: Path) -> list[Path]:
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    for i, frag in enumerate(report["stages"]):
-        p = out / f"epochs_{i}_{frag['role']}.csv"
-        p.write_text(epoch_csv(frag))
-        written.append(p)
-
+    """Render every file first and write them only then, so a malformed
+    report leaves nothing behind."""
+    texts = {
+        f"epochs_{i}_{frag['role']}.csv": epoch_csv(frag)
+        for i, frag in enumerate(report["stages"])
+    }
     ws = report.get("weight_summary")
     if ws is not None:
-        p = out / "weight_histogram.csv"
-        p.write_text(weight_histogram_csv(ws))
-        written.append(p)
-
-    p = out / "confusion_matrix.csv"
-    p.write_text(confusion_csv(report["final_test"]["confusion_matrix"]))
-    written.append(p)
-
-    p = out / "summary.txt"
-    p.write_text(summary_text(report))
-    written.append(p)
-    return written
+        texts["weight_histogram.csv"] = weight_histogram_csv(ws)
+    texts["confusion_matrix.csv"] = confusion_csv(report["final_test"]["confusion_matrix"])
+    texts["summary.txt"] = summary_text(report)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out / name).write_text(text)
+    return [out / name for name in texts]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, Sample, QUALITY_CLEAN, QUALITY_LOW
+from .dataset import Dataset, QUALITY_CLEAN, QUALITY_CODES, QUALITY_LOW
 from .errors import ValidationError
 
 
@@ -64,41 +64,33 @@ def generate(config: SynthConfig) -> Dataset:
                          + config.intensity_high**2) / 3.0
     global_std = np.sqrt(mean_intensity_sq + config.cluster_spread**2)
 
-    samples = []
-    next_id = 0
-    for c in range(config.n_classes):
-        for _ in range(config.per_class):
-            intensity = rng.uniform(config.intensity_low, config.intensity_high)
-            roll = rng.uniform()
-            if roll < config.low_quality_rate:
-                feats = rng.normal(0.0, global_std, config.dim)
-                samples.append(
-                    Sample(next_id, feats, label=c, true_label=c,
-                           quality_flag=QUALITY_LOW)
-                )
-            elif roll < config.low_quality_rate + config.mislabel_rate:
+    n = config.n_classes * config.per_class
+    features = np.empty((n, config.dim))
+    labels = np.empty(n, dtype=np.int64)
+    true_labels = np.repeat(np.arange(config.n_classes, dtype=np.int64), config.per_class)
+    quality = np.full(n, QUALITY_CODES[QUALITY_CLEAN], dtype=np.int8)
+    for i, c in enumerate(true_labels.tolist()):
+        intensity = rng.uniform(config.intensity_low, config.intensity_high)
+        roll = rng.uniform()
+        label = c
+        if roll < config.low_quality_rate:
+            features[i] = rng.normal(0.0, global_std, config.dim)
+            quality[i] = QUALITY_CODES[QUALITY_LOW]
+        else:
+            if roll < config.low_quality_rate + config.mislabel_rate:
                 neutral = rng.uniform() < config.neutral_bias_fraction and c != 0
                 if neutral:
                     intensity = config.intensity_low
-                    wrong = 0
+                    label = 0
                 else:
-                    wrong = int(rng.integers(config.n_classes - 1))
-                    if wrong >= c:
-                        wrong += 1
-                feats = means[c] * intensity + rng.normal(
-                    0.0, config.cluster_spread, config.dim
-                )
-                samples.append(
-                    Sample(next_id, feats, label=wrong, true_label=c,
-                           quality_flag=QUALITY_CLEAN)
-                )
-            else:
-                feats = means[c] * intensity + rng.normal(
-                    0.0, config.cluster_spread, config.dim
-                )
-                samples.append(
-                    Sample(next_id, feats, label=c, true_label=c,
-                           quality_flag=QUALITY_CLEAN)
-                )
-            next_id += 1
-    return Dataset(samples, n_classes=config.n_classes, dim=config.dim)
+                    label = int(rng.integers(config.n_classes - 1))
+                    if label >= c:
+                        label += 1
+            features[i] = means[c] * intensity + rng.normal(
+                0.0, config.cluster_spread, config.dim
+            )
+        labels[i] = label
+    return Dataset.from_columns(
+        np.arange(n, dtype=np.int64), features, labels, true_labels, quality,
+        n_classes=config.n_classes, dim=config.dim,
+    )

@@ -161,11 +161,11 @@ def _check_weights(weights: np.ndarray, dataset: Dataset, epoch: int) -> None:
         )
 
 
-def evaluate(model: SciuModel, dataset: Dataset, weighted: bool = False):
-    """(WAR, UAR, confusion matrix) on a dataset; unweighted probs by default."""
+def evaluate(model: SciuModel, dataset: Dataset):
+    """(WAR, UAR, confusion matrix) of the model's unweighted predictions
+    against the dataset's labels: the per-epoch test metrics."""
     out = forward_batch(model, dataset.features_matrix())
-    probs = out["weighted_probs"] if weighted else out["probs"]
-    preds = np.argmax(probs, axis=1)
+    preds = np.argmax(out["probs"], axis=1)
     cm = ConfusionMatrix.from_predictions(dataset.labels(), preds, dataset.n_classes)
     return war(cm), uar(cm), cm
 
@@ -185,8 +185,6 @@ def train_stage(
     config.validate()
     if stage not in STAGES:
         raise ConfigurationError(f"unknown stage {stage!r}")
-    if len(dataset) == 0:
-        raise DegenerateRunError("cannot train a stage on an empty dataset")
     if dataset.dim <= 0:
         raise ConfigurationError("dataset dim must be positive")
 

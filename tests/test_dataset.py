@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sciu
 from sciu.dataset import (
@@ -17,7 +18,7 @@ from sciu.dataset import (
     save_dataset,
     stratified_split,
 )
-from sciu.errors import ParseError, ValidationError
+from sciu.errors import ParseError, SciuError, ValidationError
 
 
 def make_samples(n, n_classes=3, dim=4, seed=0):
@@ -267,7 +268,7 @@ class TestIntegerFields:
             n_classes=2, dim=2,
         )
         assert ds.ids == [3] and ds.labels().tolist() == [1]
-        assert ds.oracle_true_labels() == {3: 0}
+        assert ds.oracle_columns()[0].tolist() == [0]
 
     def test_float_label_in_file(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -276,12 +277,44 @@ class TestIntegerFields:
             load_dataset(path)
 
 
+class TestFromColumns:
+    @staticmethod
+    def columns(n=3, dim=2):
+        return {"ids": np.arange(n, dtype=np.int64), "features": np.zeros((n, dim)),
+                "labels": np.zeros(n, dtype=np.int64),
+                "true_labels": np.full(n, -1, dtype=np.int64),
+                "quality": np.full(n, -1, dtype=np.int8)}
+
+    def test_matches_dataset_from_samples(self):
+        samples = make_samples(5)
+        columns = {
+            "ids": np.arange(5, dtype=np.int64),
+            "features": np.stack([s.features for s in samples]),
+            "labels": np.array([s.label for s in samples], dtype=np.int64),
+            "true_labels": np.array([s.true_label for s in samples], dtype=np.int64),
+            "quality": np.zeros(5, dtype=np.int8),
+        }
+        assert_same_columns(Dataset.from_columns(**columns, n_classes=3, dim=4),
+                            Dataset(samples, n_classes=3, dim=4))
+
+    @pytest.mark.parametrize("name,value", [
+        ("ids", np.arange(3.0)), ("ids", np.zeros(3, dtype=np.int64)),
+        ("features", np.zeros((3, 1))), ("features", np.full((3, 2), np.inf)),
+        ("labels", np.full(3, 2, dtype=np.int64)), ("labels", np.zeros(2, dtype=np.int64)),
+        ("true_labels", np.full(3, 2, dtype=np.int64)),
+        ("quality", np.full(3, -1, dtype=np.int64)),
+    ])
+    def test_rejected(self, name, value):
+        with pytest.raises(ValidationError):
+            Dataset.from_columns(**{**self.columns(), name: value}, n_classes=2, dim=2)
+
+
 def assert_same_columns(a, b):
     assert a.ids == b.ids
     assert a.labels().tolist() == b.labels().tolist()
     assert a.features_matrix().tobytes() == b.features_matrix().tobytes()
-    assert a.oracle_true_labels() == b.oracle_true_labels()
-    assert a.oracle_quality_flags() == b.oracle_quality_flags()
+    for col_a, col_b in zip(a.oracle_columns(), b.oracle_columns()):
+        assert col_a.dtype == col_b.dtype and col_a.tolist() == col_b.tolist()
 
 
 class TestGathers:
@@ -358,3 +391,101 @@ class TestGathers:
         train, test = stratified_split(ds, 0.5, seed=0)
         assert train.ids == sorted(train.ids) and test.ids == sorted(test.ids)
         assert sorted(train.ids + test.ids) == sorted(ds.ids)
+
+
+def reference_save(dataset):
+    """The file text `save_dataset` writes, built one `Sample` at a time."""
+    lines = [json.dumps({"format": "sciu-dataset", "n_classes": dataset.n_classes,
+                         "dim": dataset.dim}, separators=(",", ":"))]
+    for s in dataset.samples:
+        feats = ",".join(format(float(v), ".17g") for v in s.features.tolist())
+        parts = [f'"id":{s.id}', f'"features":[{feats}]', f'"label":{s.label}']
+        if s.true_label is not None:
+            parts.append(f'"true_label":{s.true_label}')
+        if s.quality_flag is not None:
+            parts.append(f'"quality_flag":"{s.quality_flag}"')
+        lines.append("{" + ",".join(parts) + "}")
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308])
+
+
+@st.composite
+def datasets(draw):
+    n_classes, dim = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    ids = draw(st.lists(st.integers(-(2**63), 2**63 - 1), unique=True, max_size=6))
+    feature = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+    return Dataset(
+        [
+            Sample(
+                i,
+                np.array(draw(st.lists(feature, min_size=dim, max_size=dim))),
+                draw(st.integers(0, n_classes - 1)),
+                true_label=draw(st.none() | st.integers(0, n_classes - 1)),
+                quality_flag=draw(st.sampled_from([None, "clean", "low_quality"])),
+            )
+            for i in ids
+        ],
+        n_classes=n_classes, dim=dim,
+    )
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("hypothesis")
+
+
+@settings(max_examples=150, deadline=None)
+@given(dataset=datasets())
+def test_save_matches_per_sample_writer(scratch_dir, dataset):
+    path = scratch_dir / "d.jsonl"
+    save_dataset(dataset, path)
+    assert path.read_text() == reference_save(dataset)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+# Integers past what an int64 column, a float64 or an array shape can hold.
+HUGE_INTS = st.sampled_from([2**62, 2**63, -(2**63) - 1, 10**400])
+
+
+def field(plausible):
+    """A value that may load, one out of range, or any JSON value."""
+    return st.one_of(plausible, HUGE_INTS, JSON_VALUES)
+
+
+HEADERS = st.one_of(
+    st.fixed_dictionaries(
+        {"format": st.just("sciu-dataset")},
+        optional={"n_classes": field(st.integers(0, 3)), "dim": field(st.integers(0, 3))},
+    ),
+    JSON_VALUES,
+)
+RECORDS = st.one_of(
+    st.fixed_dictionaries(
+        {"id": field(st.integers(0, 3)),
+         "features": field(st.lists(st.floats() | st.integers() | HUGE_INTS, max_size=3)),
+         "label": field(st.integers(0, 3))},
+        optional={"true_label": field(st.integers(0, 3)),
+                  "quality_flag": field(st.sampled_from(["clean", "low_quality"]))},
+    ),
+    JSON_VALUES,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=HEADERS, records=st.lists(RECORDS, max_size=3))
+def test_any_file_loads_or_raises_sciu_error(scratch_dir, header, records):
+    path = scratch_dir / "fuzz.jsonl"
+    path.write_text("".join(json.dumps(v) + "\n" for v in [header, *records]))
+    try:
+        load_dataset(path)
+    except SciuError:
+        pass

@@ -9,7 +9,6 @@ from sciu.metrics import (
     correction_quality,
     pruning_quality,
     uar,
-    uar_with_exclusions,
     war,
 )
 
@@ -49,8 +48,7 @@ class TestUar:
 
     def test_empty_class_excluded(self):
         cm = cm_from_counts([[4, 0, 0], [0, 0, 0], [0, 0, 4]])
-        value, excluded = uar_with_exclusions(cm)
-        assert value == 1.0 and excluded == [1]
+        assert uar(cm) == 1.0
 
     def test_all_classes_empty(self):
         with pytest.raises(EvaluationError):

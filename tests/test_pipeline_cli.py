@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sciu.cli import _config_from_args, build_parser, main
-from sciu.dataset import load_dataset
+from sciu.cli import _check_output, _config_from_args, build_parser, main
+from sciu.dataset import load_dataset, save_dataset
 from sciu.errors import ConfigurationError, SciuError
 from sciu.pipeline import (
     PipelineConfig,
@@ -194,7 +194,7 @@ class TestCli:
         assert "best tau: 0.2" in capsys.readouterr().out
 
     def test_report_command(self, noisy_dataset, tmp_path, capsys):
-        report = run_pipeline(small_config(), noisy_dataset, "sciu", tmp_path / "run")
+        write_report(run_pipeline(small_config(), noisy_dataset, "sciu"), tmp_path / "run")
         code = main([
             "report", "--report", str(tmp_path / "run" / "report.struct"),
             "--out-dir", str(tmp_path / "rendered"),
@@ -206,12 +206,12 @@ class TestCli:
         assert (rendered / "summary.txt").exists()
 
     def test_report_baseline_has_no_histogram(self, noisy_dataset, tmp_path):
-        run_pipeline(small_config(), noisy_dataset, "baseline", tmp_path / "run")
+        write_report(run_pipeline(small_config(), noisy_dataset, "baseline"), tmp_path / "run")
         render_report(tmp_path / "run" / "report.struct", tmp_path / "rendered")
         assert not (tmp_path / "rendered" / "weight_histogram.csv").exists()
 
     def test_report_command_read_only(self, noisy_dataset, tmp_path):
-        run_pipeline(small_config(), noisy_dataset, "baseline", tmp_path / "run")
+        write_report(run_pipeline(small_config(), noisy_dataset, "baseline"), tmp_path / "run")
         src = tmp_path / "run" / "report.struct"
         before = src.read_bytes()
         render_report(src, tmp_path / "rendered")
@@ -280,12 +280,71 @@ class TestCliBoundaries:
         code = main(["report", "--report", str(path), "--out-dir", str(tmp_path / "o")])
         assert code == 2
         assert "malformed report" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_negative_seed(self, dataset_file, capsys):
         code = main(["run", "--dataset", str(dataset_file), "--mode", "baseline",
                      "--seed", "-1"])
         assert code == 2
         assert "seed must be non-negative" in capsys.readouterr().err
+
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        """Fail the test if any stage starts training."""
+        def train_stage(*args, **kwargs):
+            raise AssertionError("a stage trained before the output path was checked")
+        monkeypatch.setattr("sciu.pipeline.train_stage", train_stage)
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--out", "nodir/x.jsonl"],
+        ["generate", "--out", "."],
+        ["run", "--dataset", "{data}", "--mode", "sciu", "--out-dir", "f/run"],
+        ["report", "--report", "missing.struct", "--out-dir", "f/r"],
+        ["sweep", "--dataset", "{data}", "--param", "tau", "--values", "0.2",
+         "--out", "nodir/s.csv"],
+        ["sweep", "--dataset", "{data}", "--param", "tau", "--values", "0.2", "--out", "."],
+    ], ids=["generate-no-dir", "generate-to-dir", "run-under-file", "report-under-file",
+            "sweep-no-dir", "sweep-to-dir"])
+    def test_bad_output_path(self, dataset_file, tmp_path, monkeypatch, capsys,
+                             no_training, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f").write_text("a regular file")
+        code = main([a.format(data=dataset_file) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {argv[-2]} {argv[-1]}: ")
+        assert len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
+
+    @pytest.mark.parametrize("out_dir", [".", "new/deep", str(Path.cwd().anchor)],
+                             ids=["cwd", "new-nested", "root"])
+    def test_good_output_dir(self, dataset_file, tmp_path, monkeypatch, capsys, out_dir):
+        """An existing directory, `.` and the root included, or one whose
+        nearest existing parent is a directory, passes the output check."""
+        monkeypatch.chdir(tmp_path)
+        _check_output("--out-dir", out_dir, directory=True)
+        if out_dir == Path.cwd().anchor:
+            return  # checked only: nothing is written into the root
+        code = main(["run", "--dataset", str(dataset_file), "--mode", "baseline",
+                     "--epochs", "25", "--warmup-epochs", "10", "--out-dir", out_dir])
+        assert code == 0
+        report = Path(out_dir) / "report.struct"
+        assert report.is_file()
+        code = main(["report", "--report", str(report), "--out-dir", out_dir])
+        assert code == 0
+        assert (Path(out_dir) / "epochs_0_final.csv").is_file()
+        assert capsys.readouterr().err == ""
+
+    def test_bad_output_path_in_a_subprocess(self, dataset_file, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        (tmp_path / "f").write_text("a regular file")
+        proc = subprocess.run(
+            [sys.executable, "-m", "sciu.cli", "run", "--dataset", str(dataset_file),
+             "--mode", "baseline", "--out-dir", str(tmp_path / "f" / "run")],
+            capture_output=True, text=True, env={"PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: --out-dir ") and "Traceback" not in proc.stderr
 
     def test_missing_dataset_in_a_subprocess(self, tmp_path):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -378,3 +437,32 @@ class TestConfigFromArgs:
         flags = _train_flags()
         assert flags["window_t"].option_strings == ["--window"]
         assert flags["lam"].option_strings == ["--lambda"]
+
+
+class TestGenerateFlags:
+    def test_flags_names_types_and_defaults(self):
+        gen = build_parser()._subparsers._group_actions[0].choices["generate"]
+        flags = {a.option_strings[0]: (a.dest, a.type, a.default)
+                 for a in gen._actions if a.option_strings and a.dest not in ("help", "out")}
+        assert flags == {
+            "--n-classes": ("n_classes", int, 7), "--dim": ("dim", int, 16),
+            "--per-class": ("per_class", int, 700),
+            "--low-quality-rate": ("low_quality_rate", float, 0.15),
+            "--mislabel-rate": ("mislabel_rate", float, 0.15),
+            "--neutral-bias-fraction": ("neutral_bias_fraction", float, 0.5),
+            "--intensity-low": ("intensity_low", float, 2.0),
+            "--intensity-high": ("intensity_high", float, 3.0),
+            "--cluster-spread": ("cluster_spread", float, 0.2),
+            "--seed": ("seed", int, 0),
+        }
+
+    def test_every_flag_reaches_the_generator(self, tmp_path, capsys):
+        out = tmp_path / "g.jsonl"
+        argv = ["--n-classes", "3", "--dim", "2", "--per-class", "9",
+                "--low-quality-rate", "0.3", "--mislabel-rate", "0.2",
+                "--neutral-bias-fraction", "0.7", "--intensity-low", "1.5",
+                "--intensity-high", "2.5", "--cluster-spread", "0.4", "--seed", "4"]
+        assert main(["generate", "--out", str(out)] + argv) == 0
+        want = tmp_path / "want.jsonl"
+        save_dataset(generate(SynthConfig(3, 2, 9, 0.3, 0.2, 0.7, 1.5, 2.5, 0.4, 4)), want)
+        assert out.read_bytes() == want.read_bytes()

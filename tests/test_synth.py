@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sciu.dataset import QUALITY_CLEAN, QUALITY_LOW, save_dataset
+from sciu.dataset import QUALITY_CLEAN, QUALITY_LOW, Dataset, Sample, save_dataset
 from sciu.errors import ValidationError
 from sciu.synth import SynthConfig, generate
 from sciu.trainer import TrainConfig, train_stage
@@ -77,3 +77,49 @@ class TestGenerate:
     def test_ids_sequential(self):
         ds = generate(SynthConfig(per_class=10))
         assert ds.ids == list(range(len(ds)))
+
+
+def reference_generate(config):
+    """`generate` written one `Sample` at a time: the same draws from the
+    same generator, in the same order."""
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5711]))
+    means = rng.standard_normal((config.n_classes, config.dim))
+    means /= np.linalg.norm(means, axis=1, keepdims=True)
+    lo, hi = config.intensity_low, config.intensity_high
+    global_std = np.sqrt((lo**2 + lo * hi + hi**2) / 3.0 + config.cluster_spread**2)
+    samples = []
+    for c in range(config.n_classes):
+        for _ in range(config.per_class):
+            intensity = rng.uniform(lo, hi)
+            roll = rng.uniform()
+            sid = len(samples)
+            if roll < config.low_quality_rate:
+                feats = rng.normal(0.0, global_std, config.dim)
+                samples.append(Sample(sid, feats, c, c, QUALITY_LOW))
+                continue
+            label = c
+            if roll < config.low_quality_rate + config.mislabel_rate:
+                if rng.uniform() < config.neutral_bias_fraction and c != 0:
+                    intensity, label = lo, 0
+                else:
+                    label = int(rng.integers(config.n_classes - 1))
+                    if label >= c:
+                        label += 1
+            feats = means[c] * intensity + rng.normal(0.0, config.cluster_spread, config.dim)
+            samples.append(Sample(sid, feats, label, c, QUALITY_CLEAN))
+    return Dataset(samples, n_classes=config.n_classes, dim=config.dim)
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"mislabel_rate": 0.0}, {"low_quality_rate": 0.0},
+    {"neutral_bias_fraction": 0.0}, {"neutral_bias_fraction": 1.0},
+], ids=["default", "no-mislabel", "no-low-quality", "no-neutral", "all-neutral"])
+def test_columns_match_per_sample_reference(overrides):
+    config = SynthConfig(seed=5, **overrides)
+    got, want = generate(config), reference_generate(config)
+    assert (got.n_classes, got.dim) == (want.n_classes, want.dim)
+    for a, b in [(got.id_array, want.id_array), (got.labels(), want.labels()),
+                 (got.features_matrix(), want.features_matrix()),
+                 *zip(got.oracle_columns(), want.oracle_columns())]:
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()

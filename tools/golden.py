@@ -1,0 +1,65 @@
+"""Print sha256 digests of the outputs a behaviour-preserving change must keep.
+
+    python3 tools/golden.py
+
+Runs the sciu in this checkout's `src/` and prints one `<sha256>  <name>`
+line per output:
+
+- the two default synthetic datasets (seeds 0 and 1), as `save_dataset`
+  writes them;
+- the `report_to_json` text of every (dataset seed 0/1, mode, pipeline seed
+  0-4) run on those datasets after `load_dataset` reads them back: 40
+  reports;
+- the `sweep_to_csv` text of a τ sweep (0.1, 0.3) over seeds 0 and 1 in
+  sciu mode on dataset seed 0.
+
+Run it on two commits and diff the output. The digests depend on the numpy
+build and the CPU's BLAS kernels, which may differ in the last bit between
+machines, so compare runs made on one machine only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from sciu.dataset import load_dataset, save_dataset  # noqa: E402
+from sciu.pipeline import (  # noqa: E402
+    MODES, PipelineConfig, report_to_json, run_pipeline, sweep, sweep_to_csv,
+)
+from sciu.synth import SynthConfig, generate  # noqa: E402
+
+DATASET_SEEDS = (0, 1)
+PIPELINE_SEEDS = range(5)
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        datasets = {}
+        for ds_seed in DATASET_SEEDS:
+            path = Path(tmp) / f"dataset{ds_seed}.jsonl"
+            save_dataset(generate(SynthConfig(seed=ds_seed)), path)
+            print(f"{sha(path.read_bytes())}  dataset seed={ds_seed}", flush=True)
+            datasets[ds_seed] = load_dataset(path)
+    for ds_seed, dataset in datasets.items():
+        for mode in MODES:
+            for seed in PIPELINE_SEEDS:
+                report = run_pipeline(PipelineConfig(seed=seed), dataset, mode)
+                print(f"{sha(report_to_json(report).encode())}  report "
+                      f"dataset={ds_seed} mode={mode} seed={seed}", flush=True)
+    result = sweep(PipelineConfig(), "tau", [0.1, 0.3], datasets[0], mode="sciu",
+                   seeds=[0, 1])
+    print(f"{sha(sweep_to_csv(result).encode())}  sweep tau=0.1,0.3 seeds=0,1 "
+          f"mode=sciu dataset=0")
+
+
+if __name__ == "__main__":
+    main()
