@@ -8,7 +8,9 @@ the remainder of the stage.
 
 `ScoreHistory`, `trailing_mean` and `prune_decision` state the rule for one
 sample; `apply_pruning` applies it to every active sample at once, from the
-(n, t) score windows of a `PruneState`.
+(n, t) score windows of a `PruneState`. `record_score` checks its arguments
+when called but only buffers the score; the epoch's scores reach the
+windows as one column write before `apply_pruning` reads them.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class PruneState:
             raise ConfigurationError("lambda must be in (0, 1)")
         if self.window < 1:
             raise ConfigurationError("window must be >= 1")
-        self.windows = RingWindows(self.window, scores=np.float64)
+        self.windows = RingWindows(self.window, lambda s: {"scores": np.array(s)}, scores=float)
 
 
 def record_score(
@@ -82,8 +84,7 @@ def record_score(
         raise ValidationError(f"weight {weight} outside (0, 1)")
     if not (0.0 <= prob_of_label <= 1.0):
         raise ValidationError(f"prob {prob_of_label} outside [0, 1]")
-    row, col = state.windows.slot(sample_id)
-    state.windows.views["scores"][row, col] = weight * prob_of_label
+    state.windows.add(sample_id, weight * prob_of_label)
 
 
 def apply_pruning(

@@ -176,15 +176,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DegenerateRunError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except NumericError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
     except (SciuError, OSError) as e:  # OSError: an output that still cannot be written
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(e, DegenerateRunError) else 4 if isinstance(e, NumericError) else 2
 
 
 if __name__ == "__main__":

@@ -321,10 +321,13 @@ def load_dataset(path) -> Dataset:
         if not isinstance(rec, dict):
             raise ParseError(f"{path}:{lineno}: record is not an object")
         try:
+            features = np.asarray(rec["features"])
+            if features.dtype.kind not in "iuf":  # "1.5" would parse as a number
+                raise ValueError(repr(rec["features"])[:80])
             samples.append(
                 Sample(
                     id=rec["id"],
-                    features=rec["features"],
+                    features=features,
                     label=rec["label"],
                     true_label=rec.get("true_label"),
                     quality_flag=rec.get("quality_flag"),

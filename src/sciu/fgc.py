@@ -11,7 +11,10 @@ so at least t further epochs must pass before they can be corrected again.
 `PredictionHistory` with `label_stable`, `score_gap` and
 `correction_decision` state the rule for one sample; `apply_corrections`
 applies it to every sample at once, from the (n, t) prediction windows of a
-`CorrectionState`.
+`CorrectionState`. `record_prediction` checks its arguments when called but
+only buffers a copy of the probability row; before `apply_corrections`
+reads the windows, the epoch's rows are stacked and their argmax, p_pred
+and p_gt written as one column each.
 """
 
 from __future__ import annotations
@@ -87,8 +90,19 @@ class CorrectionState:
         if self.window < 1:
             raise ConfigurationError("window must be >= 1")
         self.windows = RingWindows(
-            self.window, preds=np.int64, p_pred=np.float64, p_gt=np.float64
+            self.window, _prediction_columns,
+            preds=np.int64, p_pred=np.float64, p_gt=np.float64,
         )
+
+
+def _prediction_columns(records: list) -> dict[str, np.ndarray]:
+    """Window entries of buffered (probs bytes, annotated label) records."""
+    rows, labels = zip(*records)
+    at = np.arange(len(rows))
+    probs = np.frombuffer(b"".join(rows), np.float64).reshape(len(rows), -1)
+    preds = probs.argmax(axis=1)
+    labels = np.fromiter(labels, np.int64, len(rows))
+    return {"preds": preds, "p_pred": probs[at, preds], "p_gt": probs[at, labels]}
 
 
 def record_prediction(
@@ -100,17 +114,13 @@ def record_prediction(
 ) -> None:
     """Store argmax label (ties -> lowest index), its probability, and the
     probability of the current annotated label."""
-    probs = np.asarray(probs, dtype=np.float64)
+    probs = np.asarray(probs, float)
     if not 0 <= gt_label < len(probs):
         raise ValidationError(
             f"sample {sample_id}: label {gt_label} outside [0, {len(probs)})"
         )
-    y_pred = int(probs.argmax())
-    row, col = state.windows.slot(sample_id)
-    view = state.windows.views
-    view["preds"][row, col] = y_pred
-    view["p_pred"][row, col] = probs[y_pred]
-    view["p_gt"][row, col] = probs[gt_label]
+    # The row is kept as bytes, a copy that later edits of `probs` miss.
+    state.windows.add(sample_id, (probs.tobytes(), gt_label), len(probs))
 
 
 def apply_corrections(

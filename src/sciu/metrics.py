@@ -96,10 +96,6 @@ def correction_quality(
         return {"correction_accuracy": None, "harmful_rate": None}
     truth = dict(zip(dataset.ids, true_labels.tolist()))
     good = sum(1 for e in events if e.new_label == truth[e.sample_id])
-    harmful = sum(
-        1
-        for e in events
-        if e.old_label == truth[e.sample_id] and e.new_label != truth[e.sample_id]
-    )
+    harmful = sum(1 for e in events if e.old_label == truth[e.sample_id] != e.new_label)
     n = len(events)
     return {"correction_accuracy": good / n, "harmful_rate": harmful / n}

@@ -204,14 +204,8 @@ def report_to_json(report: dict) -> str:
 def write_report(report: dict, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.snapshot").write_text(
-        json.dumps(
-            {"mode": report["mode"], "config": report["config"]},
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n"
-    )
+    snapshot = {"mode": report["mode"], "config": report["config"]}
+    (out / "config.snapshot").write_text(json.dumps(snapshot, sort_keys=True, indent=2) + "\n")
     path = out / "report.struct"
     path.write_text(report_to_json(report) + "\n")
     return path

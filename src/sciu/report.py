@@ -3,17 +3,16 @@ confusion-matrix CSV, and a plain-text stage summary."""
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ParseError
 from .pipeline import load_report
+from .trainer import EpochRecord
 
 
 def epoch_csv(fragment: dict) -> str:
-    cols = [
-        "epoch", "mean_loss", "train_war", "train_uar", "test_war", "test_uar",
-        "active_sample_count", "cumulative_pruned", "cumulative_corrected",
-    ]
+    cols = [f.name for f in fields(EpochRecord)]
     lines = [",".join(cols)]
     for rec in fragment["epoch_records"]:
         lines.append(",".join("" if rec[c] is None else str(rec[c]) for c in cols))
@@ -29,11 +28,8 @@ def weight_histogram_csv(summary: dict) -> str:
 
 
 def confusion_csv(counts: list[list[int]]) -> str:
-    n = len(counts)
-    header = "true\\pred," + ",".join(str(c) for c in range(n))
-    lines = [header]
-    for t, row in enumerate(counts):
-        lines.append(f"{t}," + ",".join(str(v) for v in row))
+    lines = ["true\\pred," + ",".join(str(c) for c in range(len(counts)))]
+    lines += [f"{t}," + ",".join(str(v) for v in row) for t, row in enumerate(counts)]
     return "\n".join(lines) + "\n"
 
 

@@ -23,7 +23,7 @@ from . import fgc as fgc_mod
 from .dataset import Dataset
 from .errors import ConfigurationError, DegenerateRunError, NumericError
 from .metrics import ConfusionMatrix, uar, war
-from .model import SciuModel, backward_batch, forward_batch, init_model
+from .model import SciuModel, backward_batch, forward_batch, init_model, row_max
 from .nn_core import sgd_momentum_step
 
 STAGES = ("plain", "cgp", "fgc")
@@ -62,8 +62,8 @@ class TrainConfig:
             raise ConfigurationError(
                 "epochs must exceed warmup_epochs + window_t"
             )
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
+        if min(self.batch_size, self.embed_dim, self.hidden_dim) < 1:
+            raise ConfigurationError("batch_size, embed_dim and hidden_dim must be >= 1")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
         if self.learning_rate < 0:
@@ -213,7 +213,7 @@ def train_stage(
             if config.score_source == "annotated_class":
                 p = probs[np.arange(len(active)), active.labels()]
             else:
-                p = probs.max(axis=1)
+                p = row_max(probs)
             for sid, w, pl in zip(active.ids, weights.tolist(), p.tolist()):
                 cgp_mod.record_score(prune_state, sid, w, pl, epoch)
             scored = active

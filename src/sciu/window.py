@@ -1,79 +1,95 @@
 """Per-sample trailing windows kept as (n, t) ring buffers.
 
-Each sample id owns one row of every buffer, assigned on its first entry.
-The row's k-th entry since it was last cleared sits in column k % t, and
-`counts[row]` is the number of entries since then, so a row holds a full
-window once its count reaches t, with its oldest entry at column count % t.
-Entries are written one at a time; decisions read every full row at once
-with whole-array operations.
+Each sample id owns one row of every buffer, appended on its first entry
+and found by a binary search over the ids in sorted order. The row's k-th
+entry since it was last cleared sits in column k % t, and `counts[row]` is
+the number of entries since then, so a row holds a full window once its
+count reaches t, with its oldest entry at column count % t.
+
+`add` only buffers one sample's record. Before any read, `flush` turns the
+buffered records into one column per buffer and `push` writes each column
+with one whole-array write.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 
 class RingWindows:
     """Ring buffers named by keyword, each with its dtype: `buffers[name]`
-    is the (capacity, t) array and `views[name]` a memoryview of it."""
+    is the (rows, t) array. `columns(records)` maps a list of buffered
+    records to one column per buffer."""
 
-    def __init__(self, window: int, **dtypes):
+    def __init__(self, window: int, columns: Callable[[list], dict], **dtypes):
         self.window = window
-        self.rows: dict[int, int] = {}
         self.row_ids = np.zeros(0, dtype=np.int64)
         self.counts = np.zeros(0, dtype=np.int64)
         self.buffers = {name: np.zeros((0, window), dtype) for name, dtype in dtypes.items()}
-        self._grow(64)
+        self._order = np.zeros(0, dtype=np.int64)  # argsort of row_ids
+        self._columns = columns
+        self._pending: dict = {}  # sample id -> record, in call order
+        self._width = None
 
-    def _grow(self, capacity: int) -> None:
-        extra = capacity - len(self.counts)
-        self.row_ids = np.concatenate([self.row_ids, np.zeros(extra, np.int64)])
-        self.counts = np.concatenate([self.counts, np.zeros(extra, np.int64)])
-        for name, buf in self.buffers.items():
-            pad = np.zeros((extra, self.window), buf.dtype)
-            self.buffers[name] = np.concatenate([buf, pad])
-        # One-element reads and writes go through memoryviews of the same
-        # buffers: they deal in Python numbers, at a fraction of the cost of
-        # indexing the arrays one element at a time.
-        self.views = {name: memoryview(buf) for name, buf in self.buffers.items()}
-        self._row_ids = memoryview(self.row_ids)
-        self._counts = memoryview(self.counts)
+    def add(self, sample_id: int, record, width=None) -> None:
+        """Buffer one entry; a pending id, or a `width` other than the pending
+        records', flushes first, so entries land in call order."""
+        if sample_id in self._pending or width != self._width:
+            self.flush()
+            self._width = width
+        self._pending[sample_id] = record
 
-    def slot(self, sample_id: int) -> tuple[int, int]:
-        """(row, column) of the sample's next entry, which the caller
-        writes through `views`; counts the entry as written."""
-        row = self.rows.get(sample_id)
-        if row is None:
-            row = self.rows[sample_id] = len(self.rows)
-            if row == len(self.counts):
-                self._grow(2 * row)
-            self._row_ids[row] = sample_id
-        n = self._counts[row]
-        self._counts[row] = n + 1
-        return row, n % self.window
+    def flush(self) -> None:
+        if self._pending:
+            records, self._pending = self._pending, {}
+            ids = np.fromiter(records, np.int64, len(records))
+            self.push(ids, **self._columns(list(records.values())))
+
+    def push(self, ids: np.ndarray, **columns: np.ndarray) -> None:
+        """Write one entry, `columns[name][i]`, for each of the distinct
+        `ids`; ids seen for the first time get new rows."""
+        rows, known = self.find(ids)
+        if not known.all():
+            new = ids[~known]
+            rows[~known] = np.arange(len(self.row_ids), len(self.row_ids) + len(new))
+            self.row_ids = np.concatenate([self.row_ids, new])
+            self._order = np.argsort(self.row_ids)
+            self.counts = np.concatenate([self.counts, np.zeros(len(new), np.int64)])
+            for name, buf in self.buffers.items():
+                pad = np.zeros((len(new), self.window), buf.dtype)
+                self.buffers[name] = np.concatenate([buf, pad])
+        cols = self.counts[rows] % self.window
+        for name, values in columns.items():
+            self.buffers[name][rows, cols] = values
+        self.counts[rows] += 1
+
+    def find(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, known): the row of each id, valid where `known` is set."""
+        self.flush()
+        at = np.searchsorted(self.row_ids, ids, sorter=self._order)
+        known = at < len(self.row_ids)
+        rows = np.zeros(len(ids), np.int64)
+        rows[known] = self._order[at[known]]
+        known[known] = self.row_ids[rows[known]] == ids[known]
+        return rows, known
 
     def full_rows(
         self, ids: np.ndarray, exclude: Optional[np.ndarray] = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """(positions in `ids`, rows) of the ids that have a full window,
         leaving out the positions where the mask `exclude` is set."""
-        order = np.argsort(self.row_ids[: len(self.rows)])
-        known = self.row_ids[order]
-        at = np.searchsorted(known, ids)
-        hit = at < len(known)
-        hit[hit] = known[at[hit]] == ids[hit]
+        rows, hit = self.find(ids)
         if exclude is not None:
             hit &= ~exclude
-        pos = np.flatnonzero(hit)
-        rows = order[at[pos]]
-        full = self.counts[rows] >= self.window
-        return pos[full], rows[full]
+        hit[hit] = self.counts[rows[hit]] >= self.window
+        return np.flatnonzero(hit), rows[hit]
 
     def mean(self, name: str, rows: np.ndarray) -> np.ndarray:
         """Window mean of full rows: the entries summed oldest first, left
         to right, then divided by t (the order `sum(deque) / t` adds in)."""
+        self.flush()
         buf = self.buffers[name]
         oldest = self.counts[rows] % self.window
         total = buf[rows, oldest]
@@ -82,4 +98,5 @@ class RingWindows:
         return total / self.window
 
     def clear(self, rows: np.ndarray) -> None:
+        self.flush()
         self.counts[rows] = 0

@@ -26,8 +26,9 @@ class TestScoreHistory:
         state = PruneState(lam=0.5, window=3, warmup_epochs=0)
         record_score(state, 0, weight=0.5, prob_of_label=0.8, epoch=0)
         w = state.windows
-        assert w.counts[w.rows[0]] == 1
-        assert w.buffers["scores"][w.rows[0], 0] == pytest.approx(0.4)
+        (row,), _ = w.find(np.array([0]))
+        assert w.counts[row] == 1
+        assert w.buffers["scores"][row, 0] == pytest.approx(0.4)
 
     def test_eviction_keeps_last_t(self):
         h = ScoreHistory(0, window=2)

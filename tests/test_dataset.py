@@ -222,6 +222,32 @@ class TestLoadErrors:
         with pytest.raises(ParseError, match=":3: "):
             load_dataset(path)
 
+    @pytest.mark.parametrize("features", ['["1.5","2"]', '[1.0,"2"]', "[true,false]", "null"])
+    def test_quoted_or_non_number_features(self, tmp_path, features):
+        path = tmp_path / "d.jsonl"
+        path.write_text(HEADER + RECORD + f'{{"id":1,"features":{features},"label":0}}\n')
+        with pytest.raises(ParseError, match=":3: features are not numbers"):
+            load_dataset(path)
+
+    def test_integer_features_load_as_floats(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(HEADER + '{"id":0,"features":[1,-2],"label":0}\n')
+        assert load_dataset(path).features_matrix().tolist() == [[1.0, -2.0]]
+
+    def test_absurd_n_classes_exits_2_without_traceback(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        records = "".join(
+            f'{{"id":{i},"features":[{i}.5],"label":{i % 2}}}\n' for i in range(20)
+        )
+        path.write_text(
+            '{"format":"sciu-dataset","n_classes":1180591620717411303424,"dim":1}\n' + records
+        )
+        code, err = run_cli("run", "--dataset", str(path), "--mode", "baseline",
+                            "--out-dir", str(tmp_path / "run"))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_record_not_an_object(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(HEADER + "[0, 1]\n")

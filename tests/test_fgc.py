@@ -25,14 +25,15 @@ def toy_dataset(labels):
 def first_entry(state, sample_id):
     """(y_pred, p_pred, p_gt) of a sample's first recorded prediction."""
     w = state.windows
-    row = w.rows[sample_id]
+    (row,), _ = w.find(np.array([sample_id]))
     return tuple(w.buffers[k][row, 0] for k in ("preds", "p_pred", "p_gt"))
 
 
 def recorded(state, sample_id):
     """Predictions recorded for a sample since its window was last cleared."""
     w = state.windows
-    return int(w.counts[w.rows[sample_id]]) if sample_id in w.rows else 0
+    (row,), (known,) = w.find(np.array([sample_id]))
+    return int(w.counts[row]) if known else 0
 
 
 def history(entries, window):

@@ -6,10 +6,12 @@ import pytest
 from sciu.errors import ConfigurationError
 from sciu.model import (
     SciuModel,
+    _softmax_rows,
     backward_batch,
     batch_loss,
     forward_batch,
     init_model,
+    row_max,
 )
 from sciu.nn_core import (
     LinearLayer,
@@ -92,6 +94,48 @@ def reference_backward(model, features, labels):
         (d_pre_sig @ hidden)[None, :], np.array([d_pre_sig.sum()]),
     ]
     return grads, loss
+
+
+def _row_max_cases():
+    rng = np.random.default_rng(0)
+    ties = rng.integers(-2, 3, (40, 7)).astype(np.float64)
+    zeros = np.where(rng.uniform(size=(50, 7)) < 0.5, 0.0, -0.0)
+    zeros[::3, 4] = -1.0
+    nan = rng.normal(size=(6, 7))
+    nan[0, 3] = nan[2, 0] = nan[2, 6] = np.nan
+    inf = rng.normal(size=(6, 7))
+    inf[0, 1], inf[1, 2], inf[2] = np.inf, -np.inf, -np.inf
+    inf[3, :2] = [np.inf, -np.inf]
+    return {
+        "ties": ties, "signed-zeros": zeros, "nan": nan, "inf": inf,
+        "no-rows": np.zeros((0, 7)), "one-column": np.array([[-0.0], [0.0], [np.nan], [2.5]]),
+        "random": rng.normal(size=(3920, 7)) * 30, "wide": rng.normal(size=(9, 23)),
+    }
+
+
+class TestRowMax:
+    """`row_max` and `_softmax_rows` keep every bit of the
+    `ndarray.max(axis=1)` formulation."""
+
+    @pytest.mark.parametrize("name", list(_row_max_cases()))
+    def test_bits_match_method_max(self, name):
+        z = _row_max_cases()[name]
+        assert row_max(z).tobytes() == z.max(axis=1).tobytes()
+        assert row_max(z).shape == (len(z),)
+
+    @pytest.mark.parametrize("name", list(_row_max_cases()))
+    def test_softmax_bits_match_method_max(self, name):
+        z = _row_max_cases()[name]
+        with np.errstate(invalid="ignore"):
+            want = z - z.max(axis=1, keepdims=True)
+            np.exp(want, out=want)
+            want /= want.sum(axis=1, keepdims=True)
+            got = _softmax_rows(z.copy())
+        assert got.tobytes() == want.tobytes()
+
+    def test_strided_input(self):
+        z = np.random.default_rng(1).normal(size=(20, 14))[::2, ::2]
+        assert row_max(z).tobytes() == z.max(axis=1).tobytes()
 
 
 class TestForward:
@@ -289,6 +333,11 @@ class TestFlatLayout:
 
 
 class TestInit:
+    @pytest.mark.parametrize("embed,n_classes", [(4, 2**70), (-1, 3)])
+    def test_unbuildable_sizes_raise_configuration_error(self, embed, n_classes):
+        with pytest.raises(ConfigurationError, match=f"model of {n_classes} classes"):
+            init_model(2, embed, 2, n_classes, seed=0)
+
     def test_same_seed_identical(self):
         a = init_model(5, 6, 3, 4, seed=2)
         b = init_model(5, 6, 3, 4, seed=2)

@@ -253,6 +253,13 @@ class TestCliBoundaries:
         assert code == 2
         assert err.startswith("error: --") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("flag", ["--embed-dim", "--hidden-dim"])
+    def test_zero_layer_width(self, dataset_file, capsys, flag):
+        code = main(["run", "--dataset", str(dataset_file), "--mode", "baseline", flag, "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_run_missing_dataset(self, tmp_path, capsys):
         missing = tmp_path / "none.jsonl"
         code = main(["run", "--dataset", str(missing), "--mode", "sciu"])

@@ -38,6 +38,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError):
             TrainConfig(score_source="nope").validate()
 
+    @pytest.mark.parametrize("field", ["batch_size", "embed_dim", "hidden_dim"])
+    def test_sizes_must_be_positive(self, field):
+        with pytest.raises(ConfigurationError, match=field):
+            TrainConfig(**{field: 0}).validate()
+
     def test_zero_learning_rate_allowed(self):
         TrainConfig(learning_rate=0.0).validate()
 

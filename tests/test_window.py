@@ -1,0 +1,180 @@
+"""Buffered window entries against the scalar references.
+
+`record_score` and `record_prediction` only buffer their entry; the
+windows see it when the buffer is written as columns, before any read.
+Random interleavings of records, reads and decisions must give exactly what
+`ScoreHistory` and `PredictionHistory` give when each entry is stored as it
+is recorded.
+"""
+
+import numpy as np
+import pytest
+
+from sciu.cgp import (
+    PruneState,
+    ScoreHistory,
+    apply_pruning,
+    prune_decision,
+    record_score,
+    trailing_mean,
+)
+from sciu.dataset import Dataset, Sample
+from sciu.errors import LogicError, ValidationError
+from sciu.fgc import (
+    CorrectionState,
+    PredictionHistory,
+    apply_corrections,
+    correction_decision,
+    record_prediction,
+)
+from sciu.window import RingWindows
+
+N_IDS = 12
+
+
+def dataset(n_classes, labels):
+    return Dataset(
+        [Sample(i, np.array([float(i)]), lab) for i, lab in enumerate(labels)],
+        n_classes=n_classes,
+        dim=1,
+    )
+
+
+def count(windows, sample_id):
+    (row,), (known,) = windows.find(np.array([sample_id]))
+    return int(windows.counts[row]) if known else 0
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_pruning_interleavings_match_score_history(seed):
+    rng = np.random.default_rng(seed)
+    lam, window = float(rng.uniform(0.1, 0.5)), int(rng.integers(1, 4))
+    ds = dataset(2, [0] * N_IDS)
+    state = PruneState(lam=lam, window=window, warmup_epochs=0)
+    refs = {i: ScoreHistory(i, window) for i in ds.ids}
+    pruned: set[int] = set()
+    active, epoch = ds, 0
+    for _ in range(120):
+        op = rng.uniform()
+        if op < 0.8:  # a record, ids repeating before the next decision
+            i = int(rng.integers(N_IDS))
+            w, p = float(rng.uniform(0.01, 0.99)), float(rng.uniform(0, 1))
+            if i in pruned:
+                with pytest.raises(LogicError):
+                    record_score(state, i, w, p, epoch)
+                continue
+            record_score(state, i, w, p, epoch)
+            refs[i].record(w * p)
+        elif op < 0.9:  # a read between records
+            i = int(rng.integers(N_IDS))
+            assert count(state.windows, i) == refs[i].epochs_recorded
+        else:
+            log_start = len(state.prune_log)
+            active, newly = apply_pruning(state, active, epoch)
+            want = []
+            for i in ds.ids:
+                s_t = trailing_mean(refs[i])
+                if i in pruned or s_t is None or prune_decision(s_t, lam):
+                    continue
+                want.append({"epoch": epoch, "sample_id": i, "S_T": s_t, "lambda": lam})
+            pruned |= newly
+            assert state.prune_log[log_start:] == want
+            assert newly == {e["sample_id"] for e in want}
+            assert active.ids == [i for i in ds.ids if i not in pruned]
+            epoch += 1
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_correction_interleavings_match_prediction_history(seed):
+    # Rows come in two lengths (5 and 4 classes), some are overwritten by
+    # the caller after they are recorded, and ids repeat between decisions.
+    rng = np.random.default_rng(seed)
+    tau, window = float(rng.uniform(0.05, 0.4)), int(rng.integers(1, 4))
+    favourite = rng.integers(0, 5, N_IDS)
+    ds = dataset(5, rng.integers(0, 4, N_IDS).tolist())
+    state = CorrectionState(tau=tau, window=window)
+    refs = {i: PredictionHistory(i, window) for i in ds.ids}
+    current = dict(zip(ds.ids, ds.labels().tolist()))
+    active, epoch = ds, 0
+    for _ in range(150):
+        op = rng.uniform()
+        if op < 0.8:
+            i = int(rng.integers(N_IDS))
+            width = 5 if current[i] == 4 or rng.uniform() < 0.5 else 4
+            alpha = np.full(width, 0.3)
+            alpha[min(favourite[i], width - 1)] = 5.0
+            row = rng.dirichlet(alpha)
+            y = int(np.argmax(row))
+            refs[i].record(y, float(row[y]), float(row[current[i]]))
+            record_prediction(state, i, row, current[i], epoch)
+            if rng.uniform() < 0.3:
+                row[:] = rng.permutation(row)[::-1]
+        elif op < 0.88:
+            i = int(rng.integers(N_IDS))
+            assert count(state.windows, i) == refs[i].epochs_recorded
+        else:
+            active, events = apply_corrections(state, active, epoch)
+            want = []
+            for i in ds.ids:
+                if correction_decision(refs[i], tau):
+                    new = refs[i].entries[0][0]
+                    want.append((i, current[i], new, epoch))
+                    current[i] = new
+                    refs[i].clear()
+            assert [(e.sample_id, e.old_label, e.new_label, e.epoch) for e in events] == want
+            assert active.labels().tolist() == [current[i] for i in ds.ids]
+            epoch += 1
+
+
+def test_recorded_row_is_copied():
+    state = CorrectionState(tau=0.2, window=1)
+    row = np.array([0.1, 0.9])
+    record_prediction(state, 0, row, 0, epoch=0)
+    row[:] = [0.9, 0.1]
+    _, events = apply_corrections(state, dataset(2, [0]), epoch=0)
+    assert [(e.old_label, e.new_label) for e in events] == [(0, 1)]
+
+
+def test_checks_run_at_call_time():
+    prune = PruneState(lam=0.5, window=2, warmup_epochs=0)
+    with pytest.raises(ValidationError):
+        record_score(prune, 0, 1.0, 0.5, 0)
+    correct = CorrectionState(tau=0.2, window=2)
+    with pytest.raises(ValidationError):
+        record_prediction(correct, 0, np.array([0.5, 0.5]), 2, 0)
+    assert count(prune.windows, 0) == count(correct.windows, 0) == 0
+
+
+class TestPush:
+    def _windows(self):
+        return RingWindows(2, lambda v: {"x": np.array(v, np.float64)}, x=np.float64)
+
+    def test_new_ids_get_rows_and_known_ids_keep_theirs(self):
+        w = self._windows()
+        w.push(np.array([7, 3]), x=np.array([1.0, 2.0]))
+        w.push(np.array([3, 5, 7]), x=np.array([3.0, 4.0, 5.0]))
+        rows, known = w.find(np.array([3, 4, 5, 7]))
+        assert known.tolist() == [True, False, True, True]
+        assert w.counts[rows[known]].tolist() == [2, 1, 2]
+        assert w.mean("x", rows[[0, 3]]).tolist() == [2.5, 3.0]
+
+    def test_pending_entries_land_before_a_push(self):
+        w = self._windows()
+        w.add(1, 0.25)
+        w.push(np.array([1]), x=np.array([0.75]))
+        (row,), _ = w.find(np.array([1]))
+        assert w.buffers["x"][row].tolist() == [0.25, 0.75]
+
+    def test_mean_and_clear_see_pending_entries(self):
+        w = self._windows()
+        w.push(np.array([1]), x=np.array([0.25]))
+        (row,), _ = w.find(np.array([1]))
+        w.add(1, 0.75)
+        assert w.mean("x", np.array([row])).tolist() == [0.5]
+        w.add(1, 1.0)
+        w.clear(np.array([row]))
+        assert w.counts[row] == 0
+
+    def test_empty_windows_know_no_id(self):
+        rows, known = self._windows().find(np.array([0, 1]))
+        assert not known.any() and len(rows) == 2

@@ -1,0 +1,114 @@
+"""Run perfbench in alternating parent/change pairs and summarise the pairs.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --workloads sciu-run --seeds 701-710 --seconds 25 --out BENCH_7.json
+
+`--parent` and `--change` are two checkouts of this repository. For each
+workload and seed the script runs `perfbench/run.py --trace 0` once in each
+checkout, one right after the other, the parent first on even pairs and
+the change first on odd ones, so that a drift in machine speed falls on
+both sides alike. It prints, per end-to-end metric, each side's median
+[q1, q3] over the pairs and in how many pairs the change was better, and it
+writes every run's last-line JSON with its seed and side, plus nproc and
+the numpy version, to `--out`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy
+
+SIDES = ("parent", "change")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'701-705' or '701,703,709'."""
+    if "-" in text:
+        first, last = (int(x) for x in text.split("-"))
+        return list(range(first, last + 1))
+    return [int(x) for x in text.split(",")]
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The last stdout line of one untraced perfbench run, as JSON; a run
+    that fails gets `correct: false` and its exit code."""
+    proc = subprocess.run(
+        [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        capture_output=True, text=True, cwd=checkout,
+    )
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return {"correct": False, "returncode": proc.returncode, "stderr": proc.stderr[-2000:]}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return med, q1, q3
+
+
+def summarise(runs: list[dict], workload: str, metrics: list[dict]) -> None:
+    by_seed = {}
+    for r in runs:
+        if r["workload"] == workload and r["result"].get("correct"):
+            by_seed.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
+    pairs = [p for p in by_seed.values() if len(p) == 2]
+    print(f"\n{workload}: {len(pairs)} complete pairs")
+    for m in metrics if pairs else []:
+        name = m["name"]
+        side = {s: [p[s][name]["value"] for p in pairs] for s in SIDES}
+        sign = 1 if m["better"] == "higher" else -1
+        wins = sum(sign * (c - p) > 0 for p, c in zip(side["parent"], side["change"]))
+        cells = "  ".join("{} {:.4g} [{:.4g}, {:.4g}]".format(s, *quartiles(side[s]))
+                          for s in SIDES)
+        print(f"  {name:<22} {cells}  change better {wins}/{len(pairs)}")
+    failed = sum(1 for r in runs if r["workload"] == workload and not r["result"].get("correct"))
+    if failed:
+        print(f"  {failed} runs failed")
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", type=Path, required=True)
+    p.add_argument("--change", type=Path, required=True)
+    p.add_argument("--workloads", required=True, help="comma-separated perfbench workloads")
+    p.add_argument("--seeds", type=parse_seeds, required=True, help="'701-710' or '1,5,9'")
+    p.add_argument("--seconds", type=float, default=25.0)
+    p.add_argument("--out", type=Path, required=True)
+    args = p.parse_args(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    runs = []
+    for workload in args.workloads.split(","):
+        for k, seed in enumerate(args.seeds):
+            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                result = run_once(checkouts[side], workload, seed, args.seconds)
+                runs.append({"workload": workload, "seed": seed, "side": side,
+                             "result": result})
+                op = result.get("metrics", {}).get("op_s", {}).get("value")
+                print(f"{workload} seed {seed} {side}: op_s {op}", file=sys.stderr, flush=True)
+        summarise(runs, workload, spec["end_to_end"])
+    record = {
+        "nproc": os.cpu_count(),
+        "numpy": numpy.__version__,
+        "python": sys.version.split()[0],
+        "seconds": args.seconds,
+        "runs": runs,
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
