@@ -14,39 +14,37 @@ from pathlib import Path
 
 from .dataset import QUALITY_CODES, QUALITY_LOW, save_dataset
 from .errors import ConfigurationError, DegenerateRunError, NumericError, SciuError
-from .pipeline import PipelineConfig, run_pipeline, sweep, sweep_to_csv, write_report
+from .pipeline import (
+    SWEEP_PARAMS, PipelineConfig, run_pipeline, sweep, sweep_to_csv, write_report,
+)
 from .report import render_report
 from .synth import SynthConfig, generate
+from .trainer import PROB_SOURCES, SCORE_SOURCES
 
 CLI_MODES = {"baseline": "baseline", "cgp": "cgp_only", "fgc": "fgc_only", "sciu": "sciu"}
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--learning-rate", type=float, default=PipelineConfig.learning_rate)
-    p.add_argument("--momentum", type=float, default=PipelineConfig.momentum)
-    p.add_argument("--batch-size", type=int, default=PipelineConfig.batch_size)
-    p.add_argument("--epochs", type=int, default=PipelineConfig.epochs)
-    p.add_argument("--warmup-epochs", type=int, default=PipelineConfig.warmup_epochs)
-    p.add_argument("--window", dest="window_t", type=int, default=PipelineConfig.window_t,
-                   help="trailing-window length t")
-    p.add_argument("--lambda", dest="lam", type=float, default=PipelineConfig.lam,
-                   help="pruning threshold")
-    p.add_argument("--tau", type=float, default=PipelineConfig.tau,
-                   help="correction score-gap threshold")
-    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
-    p.add_argument("--score-source", choices=["annotated_class", "max_class"],
-                   default=PipelineConfig.score_source)
-    p.add_argument("--prob-source", choices=["weighted", "unweighted"],
-                   default=PipelineConfig.prob_source)
-    p.add_argument("--embed-dim", type=int, default=PipelineConfig.embed_dim)
-    p.add_argument("--hidden-dim", type=int, default=PipelineConfig.hidden_dim)
-    p.add_argument("--train-fraction", type=float,
-                   default=PipelineConfig.train_fraction)
+# (flag, help) of the fields whose flag is not named after them or has a help text.
+_FLAG_HELP = {
+    "window_t": ("--window", "trailing-window length t"),
+    "lam": ("--lambda", "pruning threshold"),
+    "tau": ("--tau", "correction score-gap threshold"),
+}
+_CHOICES = {"score_source": SCORE_SOURCES, "prob_source": PROB_SOURCES}
 
 
-def _config_from_args(args) -> PipelineConfig:
-    """Every flag of `_add_train_flags` has its config field as `dest`."""
-    return PipelineConfig(**{f.name: getattr(args, f.name) for f in fields(PipelineConfig)})
+def _add_config_flags(p: argparse.ArgumentParser, config: type) -> None:
+    """One flag per field of the dataclass `config`, typed and defaulted by
+    the field."""
+    for f in fields(config):
+        flag, help_text = _FLAG_HELP.get(f.name, ("--" + f.name.replace("_", "-"), None))
+        p.add_argument(flag, dest=f.name, type=type(f.default), default=f.default,
+                       choices=_CHOICES.get(f.name), help=help_text)
+
+
+def _config_from_args(args, config: type = PipelineConfig):
+    """Every flag of `_add_config_flags` has its config field as `dest`."""
+    return config(**{f.name: getattr(args, f.name) for f in fields(config)})
 
 
 def _parse_list(flag: str, text: str, kind: type) -> list:
@@ -76,8 +74,7 @@ def _check_output(flag: str, path: str, directory: bool = False) -> None:
 
 def _cmd_generate(args) -> int:
     _check_output("--out", args.out)
-    config = SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)})
-    dataset = generate(config)
+    dataset = generate(_config_from_args(args, SynthConfig))
     save_dataset(dataset, args.out)
     true_labels, quality = dataset.oracle_columns()
     n_low = int((quality == QUALITY_CODES[QUALITY_LOW]).sum())
@@ -106,7 +103,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _config_from_args(args)
-    values = _parse_list("--values", args.values, int if args.param == "window" else float)
+    values = _parse_list("--values", args.values,
+                         type(getattr(PipelineConfig, SWEEP_PARAMS[args.param])))
     seeds = _parse_list("--seeds", args.seeds, int)
     if args.out:
         _check_output("--out", args.out)
@@ -142,25 +140,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="generate a synthetic noisy dataset")
     g.add_argument("--out", required=True)
-    for f in fields(SynthConfig):
-        g.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
+    _add_config_flags(g, SynthConfig)
     g.set_defaults(func=_cmd_generate)
 
     r = sub.add_parser("run", help="run one pipeline mode on a dataset")
     r.add_argument("--dataset", required=True)
     r.add_argument("--mode", choices=sorted(CLI_MODES), required=True)
     r.add_argument("--out-dir", default=None)
-    _add_train_flags(r)
+    _add_config_flags(r, PipelineConfig)
     r.set_defaults(func=_cmd_run)
 
     s = sub.add_parser("sweep", help="sweep lambda, tau, or the window length")
     s.add_argument("--dataset", required=True)
-    s.add_argument("--param", choices=["lambda", "tau", "window"], required=True)
+    s.add_argument("--param", choices=SWEEP_PARAMS, required=True)
     s.add_argument("--values", required=True, help="comma-separated values")
     s.add_argument("--seeds", default="0", help="comma-separated seeds")
     s.add_argument("--mode", choices=sorted(CLI_MODES), default="sciu")
     s.add_argument("--out", default=None, help="CSV output path")
-    _add_train_flags(s)
+    _add_config_flags(s, PipelineConfig)
     s.set_defaults(func=_cmd_sweep)
 
     rep = sub.add_parser("report", help="render CSVs and a summary from a report")

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -58,15 +59,22 @@ class CorrectionEvent:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "old_label": self.old_label,
-            "new_label": self.new_label,
-            "epoch": self.epoch,
-        }
+        return asdict(self)
 
 
+class Columns(NamedTuple):
+    """The per-sample columns of a dataset, one entry per `Sample` field."""
+    ids: np.ndarray  # int64
+    features: np.ndarray  # (n, dim) float64
+    labels: np.ndarray  # int64
+    true_labels: np.ndarray  # int64, -1 where absent
+    quality: np.ndarray  # int8 `QUALITY_CODES`, -1 where absent
+
+
+_DTYPES = Columns(np.int64, np.float64, np.int64, np.int64, np.int8)
 _QUALITY_NAMES = {code: name for name, code in QUALITY_CODES.items()}
+# The raw (id, features, label, true_label, quality_flag) record of a Sample.
+_record = attrgetter(*(f.name for f in fields(Sample)))
 
 
 def _is_int(value) -> bool:
@@ -78,119 +86,105 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _columns(samples: list[Sample], dim: int) -> tuple[np.ndarray, ...]:
-    """(ids, features, labels, true_labels, quality codes) of `samples`.
+def _columns(records: list[tuple], dim: int) -> Columns:
+    """The columns of raw (id, features, label, true_label, quality_flag)
+    records, with None for an absent oracle field.
 
-    Rejects what the columns could not hold as given: a non-integer id,
-    label or true_label (an int64 column would truncate 0.5 to 0), a
-    negative true_label (-1 marks an absent one), an unknown quality flag
-    and a feature vector of the wrong shape.
+    Rejects what a column could not hold as given: a non-integer id, label
+    or true_label (an int64 column would truncate 0.5 to 0), a true_label
+    of -1 (which the column reads as absent), a quality flag with no code
+    and a feature vector of the wrong shape. Value ranges are left to
+    `Dataset.validate`.
     """
-    for s in samples:
-        if not _is_int(s.id):
-            raise ValidationError(f"sample id {s.id!r} is not an integer")
-        if not _is_int(s.label):
-            raise ValidationError(f"sample {s.id}: label {s.label!r} is not an integer")
-        if s.true_label is not None and not (_is_int(s.true_label) and s.true_label >= 0):
-            raise ValidationError(
-                f"sample {s.id}: true_label {s.true_label!r} is not a class index"
-            )
-        if not isinstance(s.quality_flag, (str, type(None))) or \
-                s.quality_flag not in QUALITY_CODES:
-            raise ValidationError(f"sample {s.id}: unknown quality_flag {s.quality_flag!r}")
-        if s.features.shape != (dim,):
-            raise ValidationError(
-                f"sample {s.id}: feature dim {s.features.shape} != ({dim},)"
-            )
+    for sid, features, label, true_label, flag in records:
+        if not _is_int(sid):
+            raise ValidationError(f"sample id {sid!r} is not an integer")
+        if not _is_int(label):
+            raise ValidationError(f"sample {sid}: label {label!r} is not an integer")
+        if true_label is not None and not (_is_int(true_label) and true_label != -1):
+            raise ValidationError(f"sample {sid}: true_label {true_label!r} is not a class index")
+        if not isinstance(flag, (str, type(None))) or flag not in QUALITY_CODES:
+            raise ValidationError(f"sample {sid}: unknown quality_flag {flag!r}")
+        if features.shape != (dim,):
+            raise ValidationError(f"sample {sid}: feature dim {features.shape} != ({dim},)")
+    ids, features, labels, true_labels, flags = zip(*records) if records else [()] * 5
     try:
-        return (
-            np.array([s.id for s in samples], dtype=np.int64),
-            np.stack([s.features for s in samples]) if samples else np.zeros((0, dim)),
-            np.array([s.label for s in samples], dtype=np.int64),
-            np.array([-1 if s.true_label is None else s.true_label for s in samples],
-                     dtype=np.int64),
-            np.array([QUALITY_CODES[s.quality_flag] for s in samples], dtype=np.int8),
+        return Columns(
+            np.array(ids, dtype=np.int64),
+            np.stack(features, dtype=np.float64) if records else np.zeros((0, dim)),
+            np.array(labels, dtype=np.int64),
+            np.array([-1 if t is None else t for t in true_labels], dtype=np.int64),
+            np.array([QUALITY_CODES[q] for q in flags], dtype=np.int8),
         )
     except (OverflowError, ValueError) as e:  # e.g. 2**63, or a dim too big for numpy
         raise ValidationError(f"sample id, label or dim out of range: {e}") from e
 
 
 class Dataset:
-    """Samples stored column-wise: ids (n,), features (n, dim), labels (n,)
-    and the two oracle columns (-1 where a sample has no oracle value).
+    """Samples stored as read-only `Columns`: ids (n,), features (n, dim),
+    labels (n,) and the two oracle columns (-1 where a sample has no oracle
+    value).
 
-    Built from `Sample`s or from columns (`from_columns`) and validated
-    once; `subset`, `with_labels` and `stratified_split` gather from
-    columns that are already valid. The columns are read-only, so the
-    accessors return them without copying.
+    Built from `Sample`s, from a file or from columns (`from_columns`) and
+    validated once; `subset`, `with_labels` and `stratified_split` gather
+    from columns that are already valid. The accessors return the columns
+    without copying.
     """
 
     def __init__(self, samples: Iterable[Sample], n_classes: int, dim: int):
-        self._set_columns(n_classes, dim, *_columns(list(samples), dim))
+        self._set(n_classes, dim, _columns([_record(s) for s in samples], dim))
         self.validate()
 
     @classmethod
-    def from_columns(
-        cls, ids, features, labels, true_labels, quality, n_classes: int, dim: int
-    ) -> "Dataset":
-        """A dataset that takes over (and makes read-only) ready columns:
-        int64 ids, labels and true labels (-1 where absent), (n, dim) float64
-        features, int8 `QUALITY_CODES`. Validated as `Sample`-built ones are."""
+    def from_columns(cls, *columns, n_classes: int, dim: int, **named) -> "Dataset":
+        """A dataset that takes over (and makes read-only) ready `Columns`,
+        given in order or by name. Validated as `Sample`-built ones are."""
         out = object.__new__(cls)
-        out._set_columns(n_classes, dim, ids, features, labels, true_labels, quality)
+        out._set(n_classes, dim, Columns(*columns, **named))
         out.validate()
         return out
 
-    def _set_columns(self, n_classes, dim, ids, features, labels, true_labels, quality):
+    def _set(self, n_classes: int, dim: int, columns: Columns) -> None:
         self.n_classes, self.dim = n_classes, dim
-        self.id_array = _readonly(ids)
-        self._features = _readonly(features)
-        self._labels = _readonly(labels)
-        self._true_labels = _readonly(true_labels)
-        self._quality = _readonly(quality)
+        self._cols = Columns(*map(_readonly, columns))
+        self.id_array = self._cols.ids
 
-    def _derive(self, ids, features, labels, true_labels, quality) -> "Dataset":
-        """A dataset over columns gathered from this one (no validation)."""
+    def _derive(self, **changed) -> "Dataset":
+        """This dataset with the `changed` columns replaced (no validation)."""
         out = object.__new__(Dataset)
-        out._set_columns(self.n_classes, self.dim, ids, features, labels, true_labels, quality)
+        out._set(self.n_classes, self.dim, self._cols._replace(**changed))
         return out
 
     def _take(self, index: np.ndarray) -> "Dataset":
-        return self._derive(
-            self.id_array[index], self._features[index], self._labels[index],
-            self._true_labels[index], self._quality[index],
-        )
+        return self._derive(**{name: c[index] for name, c in self._cols._asdict().items()})
 
     def validate(self) -> None:
-        """Column types and shapes, distinct ids, labels in [0, n_classes)
-        and finite features."""
-        ids = self.id_array
-        columns = (ids, self._features, self._labels, self._true_labels, self._quality)
-        layout = [(c.dtype, c.shape) for c in columns]
-        n = len(ids)
-        if layout != [(np.int64, (n,)), (np.float64, (n, self.dim)), (np.int64, (n,)),
-                      (np.int64, (n,)), (np.int8, (n,))]:
+        """Column dtypes and shapes, distinct ids, labels in [0, n_classes),
+        true labels in [-1, n_classes), quality codes in `QUALITY_CODES` and
+        finite features."""
+        c, k = self._cols, self.n_classes
+        n = len(c.ids)
+        layout = [(col.dtype, col.shape) for col in c]
+        if layout != list(zip(_DTYPES, Columns((n,), (n, self.dim), (n,), (n,), (n,)))):
             raise ValidationError(f"column dtypes and shapes {layout} do not match")
-        _, first = np.unique(ids, return_index=True)
-        if len(first) < len(ids):
-            repeat = np.ones(len(ids), dtype=bool)
+        _, first = np.unique(c.ids, return_index=True)
+        if len(first) < n:
+            repeat = np.ones(n, dtype=bool)
             repeat[first] = False
-            raise ValidationError(f"duplicate sample id {ids[repeat.argmax()]}")
-        bad = (self._labels < 0) | (self._labels >= self.n_classes)
+            raise ValidationError(f"duplicate sample id {c.ids[repeat.argmax()]}")
+        for name, column, bad, rule in (
+            ("label", c.labels, (c.labels < 0) | (c.labels >= k), f"out of range [0, {k})"),
+            ("true_label", c.true_labels, (c.true_labels < -1) | (c.true_labels >= k),
+             "out of range"),
+            ("quality code", c.quality, ~np.isin(c.quality, list(_QUALITY_NAMES)),
+             f"not in {sorted(_QUALITY_NAMES)}"),
+        ):
+            if bad.any():
+                i = bad.argmax()
+                raise ValidationError(f"sample {c.ids[i]}: {name} {column[i]} {rule}")
+        bad = ~np.isfinite(c.features).all(axis=1)
         if bad.any():
-            i = bad.argmax()
-            raise ValidationError(
-                f"sample {ids[i]}: label {self._labels[i]} out of range [0, {self.n_classes})"
-            )
-        bad = self._true_labels >= self.n_classes
-        if bad.any():
-            i = bad.argmax()
-            raise ValidationError(
-                f"sample {ids[i]}: true_label {self._true_labels[i]} out of range"
-            )
-        bad = ~np.isfinite(self._features).all(axis=1)
-        if bad.any():
-            raise ValidationError(f"sample {ids[bad.argmax()]}: non-finite features")
+            raise ValidationError(f"sample {c.ids[bad.argmax()]}: non-finite features")
 
     def __len__(self) -> int:
         return len(self.id_array)
@@ -202,29 +196,30 @@ class Dataset:
     def ids(self) -> list[int]:
         return self.id_array.tolist()
 
+    def _records(self) -> Iterator[tuple]:
+        """The raw record of each sample, as `_columns` reads it: Python
+        values, features as a list, None for an absent oracle field."""
+        for sid, features, label, true_label, code in zip(*(c.tolist() for c in self._cols)):
+            true_label = None if true_label < 0 else true_label
+            yield sid, features, label, true_label, _QUALITY_NAMES[code]
+
     @property
     def samples(self) -> list[Sample]:
         """The rows as `Sample`s, built on each access."""
-        return [
-            Sample(i, f, lab, None if t < 0 else t, _QUALITY_NAMES[q])
-            for i, f, lab, t, q in zip(
-                self.ids, self._features, self._labels.tolist(),
-                self._true_labels.tolist(), self._quality.tolist(),
-            )
-        ]
+        return [Sample(*record) for record in self._records()]
 
     def features_matrix(self) -> np.ndarray:
-        return self._features
+        return self._cols.features
 
     def labels(self) -> np.ndarray:
-        return self._labels
+        return self._cols.labels
 
     def fingerprint(self) -> str:
         """sha256 of what training reads: n_classes, dim, ids, labels and
         features. The oracle columns are left out; training never reads
         them."""
         h = hashlib.sha256(f"{self.n_classes},{self.dim},{len(self)};".encode())
-        for column in (self.id_array, self._labels, self._features):
+        for column in (self.id_array, self._cols.labels, self._cols.features):
             h.update(np.ascontiguousarray(column))
         return h.hexdigest()
 
@@ -244,22 +239,18 @@ class Dataset:
         if len(hit) != len(new_labels):
             unknown = sorted(set(new_labels).difference(self.ids))
             raise ValidationError(f"sample ids {unknown} are not in the dataset")
-        labels = self._labels.copy()
+        labels = self._cols.labels.copy()
         labels[hit] = [new_labels[i] for i in self.id_array[hit].tolist()]
-        return self._derive(
-            self.id_array, self._features, labels, self._true_labels, self._quality
-        )
+        return self._derive(labels=labels)
 
     def without_oracle_fields(self) -> "Dataset":
-        absent = _readonly(np.full(len(self), -1, dtype=np.int64))
-        return self._derive(
-            self.id_array, self._features, self._labels, absent, absent.astype(np.int8)
-        )
+        absent = np.full(len(self), -1, dtype=np.int64)
+        return self._derive(true_labels=absent, quality=absent.astype(np.int8))
 
     def oracle_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """(true labels, quality codes), aligned with `id_array`; -1 marks
         an absent value. Evaluation only, never read on a training path."""
-        return self._true_labels, self._quality
+        return self._cols.true_labels, self._cols.quality
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -273,16 +264,13 @@ def save_dataset(dataset: Dataset, path) -> None:
             separators=(",", ":"),
         )
     ]
-    for sid, row, label, true_label, code in zip(
-        dataset.ids, dataset._features.tolist(), dataset._labels.tolist(),
-        dataset._true_labels.tolist(), dataset._quality.tolist(),
-    ):
+    for sid, row, label, true_label, flag in dataset._records():
         feats = ",".join(format(v, ".17g") for v in row)
         parts = [f'"id":{sid}', f'"features":[{feats}]', f'"label":{label}']
-        if true_label >= 0:
+        if true_label is not None:
             parts.append(f'"true_label":{true_label}')
-        if code >= 0:
-            parts.append(f'"quality_flag":"{_QUALITY_NAMES[code]}"')
+        if flag is not None:
+            parts.append(f'"quality_flag":"{flag}"')
         lines.append("{" + ",".join(parts) + "}")
     with open(path, "w") as f:
         f.write("\n".join(lines))
@@ -310,7 +298,7 @@ def load_dataset(path) -> Dataset:
             raise ParseError(f"{path}:1: header has no {key!r}")
         if not _is_int(header[key]) or header[key] < 0:
             raise ParseError(f"{path}:1: {key} {header[key]!r} is not a non-negative integer")
-    samples = []
+    records = []
     for lineno, line in enumerate(raw_lines[1:], start=2):
         if not line.strip():
             continue
@@ -324,20 +312,14 @@ def load_dataset(path) -> Dataset:
             features = np.asarray(rec["features"])
             if features.dtype.kind not in "iuf":  # "1.5" would parse as a number
                 raise ValueError(repr(rec["features"])[:80])
-            samples.append(
-                Sample(
-                    id=rec["id"],
-                    features=features,
-                    label=rec["label"],
-                    true_label=rec.get("true_label"),
-                    quality_flag=rec.get("quality_flag"),
-                )
-            )
+            records.append((rec["id"], features, rec["label"], rec.get("true_label"),
+                            rec.get("quality_flag")))
         except KeyError as e:
             raise ParseError(f"{path}:{lineno}: missing field {e}") from e
         except (TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"{path}:{lineno}: features are not numbers: {e}") from e
-    return Dataset(samples, n_classes=header["n_classes"], dim=header["dim"])
+    n_classes, dim = header["n_classes"], header["dim"]
+    return Dataset.from_columns(*_columns(records, dim), n_classes=n_classes, dim=dim)
 
 
 def stratified_split(

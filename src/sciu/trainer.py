@@ -27,6 +27,8 @@ from .model import SciuModel, backward_batch, forward_batch, init_model, row_max
 from .nn_core import sgd_momentum_step
 
 STAGES = ("plain", "cgp", "fgc")
+SCORE_SOURCES = ("annotated_class", "max_class")
+PROB_SOURCES = ("weighted", "unweighted")
 
 # The TrainConfig fields each stage reads. A stage's result is a function of
 # these, its training input and the test split, and nothing else (so a sweep
@@ -52,8 +54,8 @@ class TrainConfig:
     lam: float = 0.7
     tau: float = 0.2
     seed: int = 0
-    score_source: str = "max_class"  # or "annotated_class"
-    prob_source: str = "weighted"  # or "unweighted"
+    score_source: str = "max_class"  # one of SCORE_SOURCES
+    prob_source: str = "weighted"  # one of PROB_SOURCES
     embed_dim: int = 16
     hidden_dim: int = 4
 
@@ -66,13 +68,15 @@ class TrainConfig:
             raise ConfigurationError("batch_size, embed_dim and hidden_dim must be >= 1")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
+        if self.warmup_epochs < 0:
+            raise ConfigurationError("warmup_epochs must be non-negative")
         if self.learning_rate < 0:
             raise ConfigurationError("learning_rate must be non-negative")
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigurationError("momentum must be in [0, 1)")
-        if self.score_source not in ("annotated_class", "max_class"):
+        if self.score_source not in SCORE_SOURCES:
             raise ConfigurationError(f"unknown score_source {self.score_source!r}")
-        if self.prob_source not in ("weighted", "unweighted"):
+        if self.prob_source not in PROB_SOURCES:
             raise ConfigurationError(f"unknown prob_source {self.prob_source!r}")
         if not (0.0 < self.lam < 1.0) or not (0.0 < self.tau < 1.0):
             raise ConfigurationError("lambda and tau must be in (0, 1)")

@@ -248,6 +248,16 @@ class TestLoadErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_builds_no_sample(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.jsonl"
+        save_dataset(Dataset(make_samples(6), n_classes=3, dim=4), path)
+
+        def refuse(self):
+            raise AssertionError("load_dataset built a Sample")
+
+        monkeypatch.setattr(Sample, "__post_init__", refuse)
+        assert load_dataset(path).ids == list(range(6))
+
     def test_record_not_an_object(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(HEADER + "[0, 1]\n")
@@ -329,6 +339,8 @@ class TestFromColumns:
         ("labels", np.full(3, 2, dtype=np.int64)), ("labels", np.zeros(2, dtype=np.int64)),
         ("true_labels", np.full(3, 2, dtype=np.int64)),
         ("quality", np.full(3, -1, dtype=np.int64)),
+        ("true_labels", np.array([-5, 0, 0], dtype=np.int64)),
+        ("quality", np.array([7, 0, 0], dtype=np.int8)),
     ])
     def test_rejected(self, name, value):
         with pytest.raises(ValidationError):

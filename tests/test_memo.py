@@ -267,6 +267,5 @@ class TestFingerprint:
         assert dataset._take(order).fingerprint() != base
         moved = dataset.features_matrix().copy()
         moved[-1, -1] = np.nextafter(moved[-1, -1], np.inf)
-        shifted = dataset._derive(dataset.id_array, moved, dataset.labels(),
-                                  dataset._true_labels, dataset._quality)
+        shifted = dataset._derive(features=moved)
         assert shifted.fingerprint() != base

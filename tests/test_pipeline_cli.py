@@ -260,6 +260,14 @@ class TestCliBoundaries:
         assert code == 2
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    def test_negative_warmup(self, dataset_file, capsys):
+        code = main(["run", "--dataset", str(dataset_file), "--mode", "baseline",
+                     "--epochs", "25", "--warmup-epochs", "-1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "warmup_epochs must be non-negative" in err
+
     def test_run_missing_dataset(self, tmp_path, capsys):
         missing = tmp_path / "none.jsonl"
         code = main(["run", "--dataset", str(missing), "--mode", "sciu"])
@@ -473,3 +481,69 @@ class TestGenerateFlags:
         want = tmp_path / "want.jsonl"
         save_dataset(generate(SynthConfig(3, 2, 9, 0.3, 0.2, 0.7, 1.5, 2.5, 0.4, 4)), want)
         assert out.read_bytes() == want.read_bytes()
+
+
+def _flag_table(command):
+    """(dest, type, default, choices, help) of each option of `command`, in order."""
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    return {a.option_strings[0]: (a.dest, a.type, a.default,
+                                  list(a.choices) if a.choices else None, a.help)
+            for a in sub._actions if a.option_strings and a.dest != "help"}
+
+
+MODES = ["baseline", "cgp", "fgc", "sciu"]
+TRAIN_FLAGS = {
+    "--learning-rate": ("learning_rate", float, 0.05, None, None),
+    "--momentum": ("momentum", float, 0.9, None, None),
+    "--batch-size": ("batch_size", int, 64, None, None),
+    "--epochs": ("epochs", int, 60, None, None),
+    "--warmup-epochs": ("warmup_epochs", int, 15, None, None),
+    "--window": ("window_t", int, 3, None, "trailing-window length t"),
+    "--lambda": ("lam", float, 0.7, None, "pruning threshold"),
+    "--tau": ("tau", float, 0.2, None, "correction score-gap threshold"),
+    "--seed": ("seed", int, 0, None, None),
+    "--score-source": ("score_source", str, "max_class", ["annotated_class", "max_class"],
+                       None),
+    "--prob-source": ("prob_source", str, "weighted", ["weighted", "unweighted"], None),
+    "--embed-dim": ("embed_dim", int, 16, None, None),
+    "--hidden-dim": ("hidden_dim", int, 4, None, None),
+    "--train-fraction": ("train_fraction", float, 0.8, None, None),
+}
+
+
+class TestRunAndSweepFlags:
+    def test_run(self):
+        assert list(_flag_table("run").items()) == [
+            ("--dataset", ("dataset", None, None, None, None)),
+            ("--mode", ("mode", None, None, MODES, None)),
+            ("--out-dir", ("out_dir", None, None, None, None)),
+            *TRAIN_FLAGS.items(),
+        ]
+
+    def test_sweep(self):
+        assert list(_flag_table("sweep").items()) == [
+            ("--dataset", ("dataset", None, None, None, None)),
+            ("--param", ("param", None, None, ["lambda", "tau", "window"], None)),
+            ("--values", ("values", None, None, None, "comma-separated values")),
+            ("--seeds", ("seeds", None, "0", None, "comma-separated seeds")),
+            ("--mode", ("mode", None, "sciu", MODES, None)),
+            ("--out", ("out", None, None, None, "CSV output path")),
+            *TRAIN_FLAGS.items(),
+        ]
+
+    @pytest.mark.parametrize("param,values,want", [
+        ("window", "2,4", [2, 4]), ("lambda", "0.5,1", [0.5, 1.0]), ("tau", "0.1", [0.1]),
+    ])
+    def test_values_take_the_swept_fields_type(self, monkeypatch, capsys, param, values,
+                                               want):
+        seen = {}
+
+        def fake_sweep(config, parameter, values, dataset, mode, seeds):
+            seen["values"] = values
+            return {"rows": [], "stages": {}, "best_value": None}
+
+        monkeypatch.setattr("sciu.cli.sweep", fake_sweep)
+        assert main(["sweep", "--dataset", "d.jsonl", "--param", param,
+                     "--values", values]) == 0
+        assert seen["values"] == want
+        assert [type(v) for v in seen["values"]] == [type(w) for w in want]

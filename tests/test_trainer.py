@@ -43,6 +43,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError, match=field):
             TrainConfig(**{field: 0}).validate()
 
+    def test_negative_warmup_rejected(self):
+        with pytest.raises(ConfigurationError, match="warmup_epochs"):
+            TrainConfig(warmup_epochs=-1).validate()
+        TrainConfig(warmup_epochs=0).validate()
+
     def test_zero_learning_rate_allowed(self):
         TrainConfig(learning_rate=0.0).validate()
 
