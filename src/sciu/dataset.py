@@ -139,8 +139,12 @@ class Dataset:
     def from_columns(cls, *columns, n_classes: int, dim: int, **named) -> "Dataset":
         """A dataset that takes over (and makes read-only) ready `Columns`,
         given in order or by name. Validated as `Sample`-built ones are."""
+        given = Columns(*columns, **named)
+        loose = [name for name, c in given._asdict().items() if not isinstance(c, np.ndarray)]
+        if loose:
+            raise ValidationError(f"columns not given as numpy arrays: {', '.join(loose)}")
         out = object.__new__(cls)
-        out._set(n_classes, dim, Columns(*columns, **named))
+        out._set(n_classes, dim, given)
         out.validate()
         return out
 

@@ -26,7 +26,8 @@ from .metrics import ConfusionMatrix, correction_quality, pruning_quality, uar, 
 from .model import forward_batch
 from .trainer import STAGE_FIELDS, STAGES, StageResult, TrainConfig, train_stage
 
-MODES = ("baseline", "cgp_only", "fgc_only", "sciu")
+# The stages each mode runs, in order, before the final plain stage.
+MODES = {"baseline": (), "cgp_only": ("cgp",), "fgc_only": ("fgc",), "sciu": ("cgp", "fgc")}
 
 HIST_BINS = 20
 
@@ -140,60 +141,48 @@ def run_pipeline(
 ) -> dict:
     """Run one experiment end to end and return its RunReport dict.
 
-    baseline: plain training on D1. cgp_only: CGP stage then plain training
-    on D3. fgc_only: FGC stage then plain training on D4. sciu: CGP, then
-    FGC on D3, then plain training on the corrected D4. With a `memo`,
-    stages it already holds are reused; the report is the same bytes.
+    Each stage of `MODES[mode]`, then plain training, trains on the output
+    of the one before, starting from the training split: baseline trains
+    on D1, cgp_only on D3, fgc_only on D4, and sciu runs FGC on D3 and
+    trains on the corrected D4. With a `memo`, stages it already holds are
+    reused; the report is the same bytes.
     """
     config.validate()
     if mode not in MODES:
-        raise ConfigurationError(f"unknown mode {mode!r}, expected one of {MODES}")
+        raise ConfigurationError(f"unknown mode {mode!r}, expected one of {tuple(MODES)}")
     if not isinstance(dataset, Dataset):
         dataset = load_dataset(dataset)
 
     train, test = stratified_split(dataset, config.train_fraction, config.seed)
-
-    stages: list[dict] = []
-    weight_summary = None
-    pruned_ids: set[int] = set()
-    correction_events = []
-    final_train = train
-
-    if mode in ("cgp_only", "sciu"):
-        cgp_result = _train(train, config, "cgp", test, memo)
-        stages.append(_stage_fragment(cgp_result, "cgp"))
-        weight_summary = _weight_summary(cgp_result, train)
-        pruned_ids = set(cgp_result.pruned_ids)
-        final_train = cgp_result.output_dataset
-
-    if mode in ("fgc_only", "sciu"):
-        fgc_result = _train(final_train, config, "fgc", test, memo)
-        stages.append(_stage_fragment(fgc_result, "fgc"))
-        correction_events = fgc_result.correction_events
-        final_train = fgc_result.output_dataset
-
-    final_result = _train(final_train, config, "plain", test, memo)
-    stages.append(_stage_fragment(final_result, "final"))
+    results: dict[str, StageResult] = {}
+    stage_input = train
+    for stage in MODES[mode] + ("plain",):
+        results[stage] = _train(stage_input, config, stage, test, memo)
+        stage_input = results[stage].output_dataset
+    # Only CGP prunes and only FGC corrects; the other stages leave these empty.
+    pruned_ids = set().union(*(r.pruned_ids for r in results.values()))
+    events = [e for r in results.values() for e in r.correction_events]
 
     try:
         pq = pruning_quality(pruned_ids, train) if pruned_ids else None
     except EvaluationError:
         pq = None
     try:
-        cq = correction_quality(correction_events, train) if correction_events else None
+        cq = correction_quality(events, train) if events else None
     except EvaluationError:
         cq = None
 
     return {
         "mode": mode,
         "config": asdict(config),
-        "stages": stages,
+        "stages": [_stage_fragment(r, "final" if stage == "plain" else stage)
+                   for stage, r in results.items()],
         "pruned_total": len(pruned_ids),
-        "corrected_total": len(correction_events),
-        "final_test": _final_test(final_result.model, test),
+        "corrected_total": len(events),
+        "final_test": _final_test(results["plain"].model, test),
         "pruning_quality": pq,
         "correction_quality": cq,
-        "weight_summary": weight_summary,
+        "weight_summary": _weight_summary(results["cgp"], train) if "cgp" in results else None,
     }
 
 
@@ -265,27 +254,18 @@ def sweep(
     memo = StageMemo()
     rows = []
     for value in values:
-        wars, uars, wars_true, failures = [], [], [], []
+        finals, failures = [], []
         for seed in seeds:
             cfg = PipelineConfig(**{**asdict(config), attr: value, "seed": seed})
             try:
-                rep = run_pipeline(cfg, dataset, mode, memo=memo)
-                wars.append(rep["final_test"]["war"])
-                uars.append(rep["final_test"]["uar"])
-                if rep["final_test"]["war_true"] is not None:
-                    wars_true.append(rep["final_test"]["war_true"])
+                finals.append(run_pipeline(cfg, dataset, mode, memo=memo)["final_test"])
             except SciuError as e:
                 failures.append({"seed": seed, "error": str(e)})
-        rows.append(
-            {
-                "value": value,
-                "median_war": statistics.median(wars) if wars else None,
-                "median_uar": statistics.median(uars) if uars else None,
-                "median_war_true": statistics.median(wars_true) if wars_true else None,
-                "per_seed_war": wars,
-                "failures": failures,
-            }
-        )
+        row = {"value": value}
+        for metric in ("war", "uar", "war_true"):
+            xs = [f[metric] for f in finals if f[metric] is not None]
+            row["median_" + metric] = statistics.median(xs) if xs else None
+        rows.append({**row, "per_seed_war": [f["war"] for f in finals], "failures": failures})
     # Rank by true-label WAR when the oracle is available, else annotated.
     key = (
         "median_war_true"

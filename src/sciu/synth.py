@@ -10,6 +10,7 @@ analogue) or a uniformly random other class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,31 +45,36 @@ class SynthConfig:
             raise ValidationError("low_quality_rate + mislabel_rate must be < 1")
         if not (0.0 <= self.neutral_bias_fraction <= 1.0):
             raise ValidationError("neutral_bias_fraction must be in [0, 1]")
-        if self.intensity_low <= 0 or self.intensity_high < self.intensity_low:
-            raise ValidationError("intensity range must satisfy 0 < low <= high")
-        if self.cluster_spread <= 0:
-            raise ValidationError("cluster_spread must be positive")
+        if not (0.0 < self.intensity_low <= self.intensity_high < math.inf):
+            raise ValidationError("need 0 < intensity_low <= intensity_high < inf")
+        if not (0.0 < self.cluster_spread < math.inf):
+            raise ValidationError("cluster_spread must be finite and positive")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
 
 
 def generate(config: SynthConfig) -> Dataset:
     config.validate()
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5711]))
 
-    means = rng.standard_normal((config.n_classes, config.dim))
-    means /= np.linalg.norm(means, axis=1, keepdims=True)
-
-    # Low-quality corruption replaces the structured signal with isotropic
-    # noise at the signal's own amplitude: same energy, zero class signal.
-    mean_intensity_sq = (config.intensity_low**2
-                         + config.intensity_low * config.intensity_high
-                         + config.intensity_high**2) / 3.0
-    global_std = np.sqrt(mean_intensity_sq + config.cluster_spread**2)
-
     n = config.n_classes * config.per_class
-    features = np.empty((n, config.dim))
-    labels = np.empty(n, dtype=np.int64)
-    true_labels = np.repeat(np.arange(config.n_classes, dtype=np.int64), config.per_class)
-    quality = np.full(n, QUALITY_CODES[QUALITY_CLEAN], dtype=np.int8)
+    try:
+        means = rng.standard_normal((config.n_classes, config.dim))
+        # Low-quality corruption replaces the structured signal with isotropic
+        # noise at the signal's own amplitude: same energy, zero class signal.
+        mean_intensity_sq = (config.intensity_low**2
+                             + config.intensity_low * config.intensity_high
+                             + config.intensity_high**2) / 3.0
+        global_std = np.sqrt(mean_intensity_sq + config.cluster_spread**2)
+        features = np.empty((n, config.dim))
+        labels = np.empty(n, dtype=np.int64)
+        true_labels = np.repeat(np.arange(config.n_classes, dtype=np.int64), config.per_class)
+        quality = np.full(n, QUALITY_CODES[QUALITY_CLEAN], dtype=np.int8)
+    except (MemoryError, OverflowError, ValueError) as e:  # sizes or intensities too big
+        raise ValidationError(
+            f"cannot generate {n} samples of dim {config.dim}, intensity_high "
+            f"{config.intensity_high} and cluster_spread {config.cluster_spread}: {e}") from e
+    means /= np.linalg.norm(means, axis=1, keepdims=True)
     for i, c in enumerate(true_labels.tolist()):
         intensity = rng.uniform(config.intensity_low, config.intensity_high)
         roll = rng.uniform()

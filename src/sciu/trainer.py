@@ -26,7 +26,6 @@ from .metrics import ConfusionMatrix, uar, war
 from .model import SciuModel, backward_batch, forward_batch, init_model, row_max
 from .nn_core import sgd_momentum_step
 
-STAGES = ("plain", "cgp", "fgc")
 SCORE_SOURCES = ("annotated_class", "max_class")
 PROB_SOURCES = ("weighted", "unweighted")
 
@@ -41,6 +40,7 @@ STAGE_FIELDS = {
     "cgp": _PLAIN_FIELDS + ("warmup_epochs", "window_t", "lam", "score_source"),
     "fgc": _PLAIN_FIELDS + ("warmup_epochs", "window_t", "tau", "prob_source"),
 }
+STAGES = tuple(STAGE_FIELDS)
 
 
 @dataclass
@@ -70,8 +70,8 @@ class TrainConfig:
             raise ConfigurationError("seed must be non-negative")
         if self.warmup_epochs < 0:
             raise ConfigurationError("warmup_epochs must be non-negative")
-        if self.learning_rate < 0:
-            raise ConfigurationError("learning_rate must be non-negative")
+        if not (0.0 <= self.learning_rate < math.inf):
+            raise ConfigurationError("learning_rate must be finite and non-negative")
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigurationError("momentum must be in [0, 1)")
         if self.score_source not in SCORE_SOURCES:

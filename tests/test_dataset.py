@@ -341,6 +341,7 @@ class TestFromColumns:
         ("quality", np.full(3, -1, dtype=np.int64)),
         ("true_labels", np.array([-5, 0, 0], dtype=np.int64)),
         ("quality", np.array([7, 0, 0], dtype=np.int8)),
+        ("ids", [0, 1, 2]),
     ])
     def test_rejected(self, name, value):
         with pytest.raises(ValidationError):

@@ -297,6 +297,35 @@ class TestCliBoundaries:
         assert "malformed report" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    # Each size asks for at least 10**14 elements, which numpy refuses outright.
+    @pytest.mark.parametrize("argv,field", [
+        (["generate", "--intensity-high", "nan"], "intensity_high"),
+        (["generate", "--intensity-high", "inf"], "intensity_high"),
+        (["generate", "--intensity-low", "nan"], "intensity_low"),
+        (["generate", "--cluster-spread", "nan"], "cluster_spread"),
+        (["generate", "--seed", "-1"], "seed"),
+        (["generate", "--dim", str(10**14), "--per-class", "1"], "dim"),
+        (["generate", "--per-class", str(10**14)], "samples"),
+        (["generate", "--n-classes", str(10**14)], "samples"),
+        (["generate", "--per-class", str(10**20)], "samples"),
+        (["generate", "--intensity-high", "1e200"], "intensity_high"),
+        (["generate", "--cluster-spread", "1e200"], "cluster_spread"),
+        (["run", "--dataset", "{data}", "--mode", "baseline", "--learning-rate", "nan"],
+         "learning_rate"),
+        (["run", "--dataset", "{data}", "--mode", "baseline", "--learning-rate", "inf"],
+         "learning_rate"),
+    ])
+    def test_bad_value_is_a_usage_error(self, dataset_file, tmp_path, capsys, argv, field):
+        argv = [a.format(data=dataset_file) for a in argv]
+        if argv[0] == "generate":
+            argv += ["--out", str(tmp_path / "g.jsonl")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert field in err
+        assert not (tmp_path / "g.jsonl").exists()
+
     def test_negative_seed(self, dataset_file, capsys):
         code = main(["run", "--dataset", str(dataset_file), "--mode", "baseline",
                      "--seed", "-1"])
@@ -403,9 +432,14 @@ def comma_list(items, max_size):
 )
 def test_sweep_lists_exit_cleanly(tiny_dataset_file, capsys, param, values, seeds):
     """Any --values/--seeds string is a sweep (exit 0) or a one-line error."""
-    argv = ["sweep", "--dataset", str(tiny_dataset_file), "--param", param,
-            f"--values={values}", f"--seeds={seeds}", "--epochs", "5",
-            "--warmup-epochs", "1", "--window", "2"]
+    assert_exits_cleanly(["sweep", "--dataset", str(tiny_dataset_file), "--param", param,
+                          f"--values={values}", f"--seeds={seeds}", "--epochs", "5",
+                          "--warmup-epochs", "1", "--window", "2"], capsys)
+
+
+def assert_exits_cleanly(argv, capsys):
+    """`argv` exits 0, or 2, 3 or 4 with an error or usage message, and
+    never with a traceback."""
     try:
         code = main(argv)
     except SystemExit as e:  # argparse rejects the command line itself
@@ -547,3 +581,53 @@ class TestRunAndSweepFlags:
                      "--values", values]) == 0
         assert seen["values"] == want
         assert [type(v) for v in seen["values"]] == [type(w) for w in want]
+
+
+# Flag values: negatives, 0, NaN, +-inf and huge numbers among ordinary ones.
+# Every huge count asks for at least 10**14 elements when it is a size, which
+# numpy refuses outright; epochs stay small so that every run is short.
+FUZZ_INTS = st.sampled_from(["-1", "0", "1", "2", "3", str(10**14), str(10**20)])
+FUZZ_EPOCHS = st.sampled_from(["-1", "0", "2", "4", "6"])
+FUZZ_FLOATS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.3", "0.9", "1", "2.5",
+                     str(10**14), "1e300"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+
+
+def fuzzed_flags(command):
+    """Strategy: `--flag=value` items for up to three of `command`'s typed
+    flags."""
+    items = {}
+    for flag, (dest, kind, _, choices, _) in _flag_table(command).items():
+        if choices:
+            values = st.sampled_from(choices + ["nope"])
+        elif dest == "epochs":
+            values = FUZZ_EPOCHS
+        elif kind is int:
+            values = FUZZ_INTS
+        elif kind is float:
+            values = FUZZ_FLOATS
+        else:
+            continue
+        items[flag] = values.map(lambda v, f=flag: f"{f}={v}")
+    chosen = st.lists(st.sampled_from(list(items)), unique=True, max_size=3)
+    return chosen.flatmap(lambda flags: st.tuples(*(items[f] for f in flags))).map(list)
+
+
+FUZZ_SETTINGS = settings(max_examples=60, deadline=None,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ_SETTINGS
+@given(flags=fuzzed_flags("generate"))
+def test_generate_flags_exit_cleanly(tiny_dataset_file, capsys, flags):
+    out = tiny_dataset_file.parent / "fuzzed.jsonl"
+    assert_exits_cleanly(["generate", f"--out={out}", "--per-class=2", *flags], capsys)
+
+
+@FUZZ_SETTINGS
+@given(flags=fuzzed_flags("run"))
+def test_run_flags_exit_cleanly(tiny_dataset_file, capsys, flags):
+    assert_exits_cleanly(["run", f"--dataset={tiny_dataset_file}", "--mode=sciu",
+                          "--epochs=5", "--warmup-epochs=1", "--window=2", *flags], capsys)

@@ -16,8 +16,19 @@ class TestSynthConfig:
             SynthConfig(low_quality_rate=0.6, mislabel_rate=0.4).validate()
 
     def test_bad_intensity_range(self):
-        with pytest.raises(ValidationError):
-            SynthConfig(intensity_low=3.0, intensity_high=2.0).validate()
+        for bad in ({"intensity_low": 3.0, "intensity_high": 2.0},
+                    {"intensity_high": float("nan")}, {"intensity_high": float("inf")},
+                    {"intensity_low": float("nan")}, {"intensity_low": 0.0}):
+            with pytest.raises(ValidationError, match="intensity_low <= intensity_high"):
+                SynthConfig(**bad).validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("cluster_spread", float("nan")), ("cluster_spread", float("inf")),
+        ("cluster_spread", 0.0), ("seed", -1),
+    ])
+    def test_bad_spread_and_seed(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            SynthConfig(**{field: value}).validate()
 
 
 class TestGenerate:

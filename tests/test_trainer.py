@@ -51,6 +51,11 @@ class TestTrainConfig:
     def test_zero_learning_rate_allowed(self):
         TrainConfig(learning_rate=0.0).validate()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -0.1])
+    def test_learning_rate_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ConfigurationError, match="learning_rate"):
+            TrainConfig(learning_rate=value).validate()
+
 
 class TestPlainStage:
     def test_frozen_model_at_zero_lr(self):

@@ -9,8 +9,9 @@ checkout, one right after the other, the parent first on even pairs and
 the change first on odd ones, so that a drift in machine speed falls on
 both sides alike. It prints, per end-to-end metric, each side's median
 [q1, q3] over the pairs and in how many pairs the change was better, and it
-writes every run's last-line JSON with its seed and side, plus nproc and
-the numpy version, to `--out`.
+writes every run's last-line JSON with its seed and side, plus nproc, the
+numpy version and each checkout's commit (and whether its tree had
+uncommitted changes), to `--out`.
 """
 
 from __future__ import annotations
@@ -49,6 +50,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         return json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         return {"correct": False, "returncode": proc.returncode, "stderr": proc.stderr[-2000:]}
+
+
+def checkout_state(checkout: Path) -> dict:
+    """The commit a checkout is at, and whether its tree differs from it;
+    both None when it is not a git checkout."""
+    def git(*args):
+        proc = subprocess.run(["git", *args], capture_output=True, text=True, cwd=checkout)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+    commit, status = git("rev-parse", "HEAD"), git("status", "--porcelain")
+    return {"commit": commit, "dirty": None if status is None else bool(status)}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -104,6 +115,7 @@ def main(argv=None) -> int:
         "numpy": numpy.__version__,
         "python": sys.version.split()[0],
         "seconds": args.seconds,
+        "checkouts": {side: checkout_state(checkouts[side]) for side in SIDES},
         "runs": runs,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
