@@ -12,6 +12,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from .dataset import QUALITY_CODES, QUALITY_LOW, save_dataset
 from .errors import ConfigurationError, DegenerateRunError, NumericError, SciuError
 from .pipeline import (
@@ -172,7 +174,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Every numeric failure raises a NumericError; numpy's warnings stay quiet.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (SciuError, OSError) as e:  # OSError: an output that still cannot be written
         print(f"error: {e}", file=sys.stderr)
         return 3 if isinstance(e, DegenerateRunError) else 4 if isinstance(e, NumericError) else 2

@@ -10,9 +10,10 @@ For input features v the model computes
 The training loss is cross-entropy on softmax(w * z); the weight branch is
 trained end-to-end through that scaling. `backward_batch` is the
 hand-derived analytic gradient of this loss, checked against finite
-differences in the test suite. It and `forward_batch` run the same forward,
-`_forward`, so training and inference compute every layer with the same
-float operations.
+differences in the test suite. It and `forward_batch` run the same layer
+functions (`_encode`, `_weigh`, `_softmax_rows`), so training and inference
+compute every layer with the same float operations; `forward_batch` skips
+the ones whose outputs its caller does not ask for.
 
 Parameters live in one contiguous float64 vector, `model.flat`: the eight
 arrays of `parameters()` one after another, in that order, each row-major.
@@ -107,22 +108,29 @@ def init_model(
         raise ConfigurationError(f"cannot build a model of {n_classes} classes: {e}") from e
 
 
-def _forward(model: SciuModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The layers over a float64 (n, input_dim) batch: (pre_emb, emb,
-    logits, pre_hid, hidden, w, wp), with w the (n,) sample weights and wp
-    = softmax(w * logits). `backward_batch` reads all of them."""
-    enc, cls, hid, out = model.encoder, model.classifier, model.wb_hidden, model.wb_out
-    pre_emb = x @ enc.weight.T + enc.bias
+def _encode(model: SciuModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Encoder and classifier over a float64 batch: (pre_emb, emb, logits)."""
+    pre_emb = x @ model.encoder.weight.T + model.encoder.bias
     emb = np.maximum(pre_emb, 0.0)
-    logits = emb @ cls.weight.T + cls.bias
-    pre_hid = emb @ hid.weight.T + hid.bias
+    return pre_emb, emb, emb @ model.classifier.weight.T + model.classifier.bias
+
+
+def _weigh(model: SciuModel, emb: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Weight branch over the embeddings: (pre_hid, hidden, (n,) weights w)."""
+    pre_hid = emb @ model.wb_hidden.weight.T + model.wb_hidden.bias
     hidden = np.maximum(pre_hid, 0.0)
-    pre_sig = (hidden @ out.weight.T + out.bias)[:, 0]
+    pre_sig = (hidden @ model.wb_out.weight.T + model.wb_out.bias)[:, 0]
     # Stable sigmoid: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below.
     e = np.exp(-np.abs(pre_sig))
-    w = np.where(pre_sig >= 0, 1.0, e) / (1.0 + e)
-    wp = _softmax_rows(w[:, None] * logits)
-    return pre_emb, emb, logits, pre_hid, hidden, w, wp
+    return pre_hid, hidden, np.where(pre_sig >= 0, 1.0, e) / (1.0 + e)
+
+
+def _forward(model: SciuModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every layer over a batch: (pre_emb, emb, logits, pre_hid, hidden, w,
+    wp), with wp = softmax(w * logits). `backward_batch` reads all of them."""
+    pre_emb, emb, logits = _encode(model, x)
+    pre_hid, hidden, w = _weigh(model, emb)
+    return pre_emb, emb, logits, pre_hid, hidden, w, _softmax_rows(w[:, None] * logits)
 
 
 def row_max(z: np.ndarray) -> np.ndarray:
@@ -140,24 +148,30 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def forward_batch(model: SciuModel, features: np.ndarray) -> dict[str, np.ndarray]:
-    """Vectorized forward over a (n, input_dim) batch.
+OUTPUTS = ("logits", "probs", "weight", "weighted_probs")
 
-    Returns logits, probs, weights (n,), and weighted_probs, from the same
-    `_forward` that `backward_batch` differentiates.
-    """
+
+def forward_batch(
+    model: SciuModel, features: np.ndarray, outputs: tuple[str, ...] = OUTPUTS
+) -> dict[str, np.ndarray]:
+    """Vectorized forward over a (n, input_dim) batch: the `outputs` asked for,
+    of `OUTPUTS`, by the layers `backward_batch` differentiates. The weight
+    branch and each softmax run only for an output that needs them."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != model.input_dim:
         raise ConfigurationError(
             f"batch shape {features.shape} incompatible with input dim {model.input_dim}"
         )
-    _, _, logits, _, _, weights, weighted_probs = _forward(model, features)
-    return {
-        "logits": logits,
-        "probs": _softmax_rows(logits.copy()),
-        "weight": weights,
-        "weighted_probs": weighted_probs,
-    }
+    _, emb, logits = _encode(model, features)
+    out = {"logits": logits}
+    if "weight" in outputs or "weighted_probs" in outputs:
+        w = out["weight"] = _weigh(model, emb)[2]
+        if "weighted_probs" in outputs:
+            out["weighted_probs"] = _softmax_rows(w[:, None] * logits)
+    if "probs" in outputs:
+        # In place on the logits when the caller does not read them.
+        out["probs"] = _softmax_rows(logits.copy() if "logits" in outputs else logits)
+    return {key: out[key] for key in outputs}
 
 
 def batch_loss(model: SciuModel, features: np.ndarray, labels: np.ndarray) -> float:
@@ -167,7 +181,7 @@ def batch_loss(model: SciuModel, features: np.ndarray, labels: np.ndarray) -> fl
         raise ConfigurationError(
             f"labels span [{labels.min()}, {labels.max()}], outside [0, {model.n_classes})"
         )
-    out = forward_batch(model, features)
+    out = forward_batch(model, features, ("weighted_probs",))
     wp = out["weighted_probs"][np.arange(len(labels)), labels]
     return float(np.mean(-np.log(np.maximum(wp, 1e-12))))
 
@@ -178,7 +192,7 @@ def backward_batch(
     """Mean-loss gradients for every parameter, order matching parameters().
 
     Returns (grads, mean loss). The grads are views of `model.grad`, which
-    the next call overwrites. The forward half is `_forward`, the same one
+    the next call overwrites. The forward half is `_forward`, the layers
     `forward_batch` runs, and the gradient overwrites its softmax in place.
     This is the training hot path: it leaves checking shapes and labels to
     `forward_batch`, `batch_loss` and the dataset.

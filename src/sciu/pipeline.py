@@ -92,8 +92,7 @@ def _stage_fragment(result: StageResult, role: str) -> dict:
 def _weight_summary(result: StageResult, train: Dataset) -> dict:
     """Final CGP-stage weights for every training sample, split kept vs
     pruned (evaluation-only forward over the full set)."""
-    out = forward_batch(result.model, train.features_matrix())
-    weights = out["weight"]
+    weights = forward_batch(result.model, train.features_matrix(), ("weight",))["weight"]
     pruned = np.fromiter(result.pruned_ids, dtype=np.int64, count=len(result.pruned_ids))
     pruned_mask = np.isin(train.id_array, pruned)
     edges = np.linspace(0.0, 1.0, HIST_BINS + 1)
@@ -115,7 +114,7 @@ def _final_test(model, test: Dataset) -> dict:
     WAR/UAR of the unweighted and the weighted predictions against the
     annotated labels, and of the unweighted ones against the oracle true
     labels (evaluation only; None when the oracle is absent)."""
-    out = forward_batch(model, test.features_matrix())
+    out = forward_batch(model, test.features_matrix(), ("probs", "weighted_probs"))
     labels = test.labels()
     preds = np.argmax(out["probs"], axis=1)
     cm = ConfusionMatrix.from_predictions(labels, preds, test.n_classes)

@@ -115,9 +115,10 @@ def run_epoch(
     config: TrainConfig,
     velocity: np.ndarray,
     epoch: int,
+    outputs: tuple[str, ...],
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """One pass of minibatch SGD, then an evaluation forward over the whole
-    (active) dataset with the updated parameters.
+    """One pass of minibatch SGD, then an evaluation forward of `outputs`
+    over the whole (active) dataset with the updated parameters.
 
     The rows are gathered into shuffled order once; each minibatch is a
     slice of them, and one momentum step on `model.flat` (with `velocity`
@@ -140,15 +141,15 @@ def run_epoch(
         stop = start + size
         _, loss = backward_batch(model, shuffled[start:stop], labels[start:stop])
         if not math.isfinite(loss):
-            ids = dataset.id_array[order[start:stop]].tolist()
+            batch = order[start:stop]
             raise NumericError(
-                f"non-finite loss at epoch {epoch}, batch starting {start}, "
-                f"sample ids {ids}"
+                f"non-finite loss at epoch {epoch}, batch of {len(batch)} samples starting "
+                f"{start}, first sample ids {dataset.id_array[batch][:5].tolist()}"
             )
         sgd_momentum_step(params, grads, velocities, lr, momentum)
         losses.append(loss)
 
-    eval_out = forward_batch(model, feats)
+    eval_out = forward_batch(model, feats, outputs)
     return float(np.mean(losses)), eval_out
 
 
@@ -168,7 +169,7 @@ def _check_weights(weights: np.ndarray, dataset: Dataset, epoch: int) -> None:
 def evaluate(model: SciuModel, dataset: Dataset):
     """(WAR, UAR, confusion matrix) of the model's unweighted predictions
     against the dataset's labels: the per-epoch test metrics."""
-    out = forward_batch(model, dataset.features_matrix())
+    out = forward_batch(model, dataset.features_matrix(), ("probs",))
     preds = np.argmax(out["probs"], axis=1)
     cm = ConfusionMatrix.from_predictions(dataset.labels(), preds, dataset.n_classes)
     return war(cm), uar(cm), cm
@@ -202,11 +203,16 @@ def train_stage(
     )
     corr_state = fgc_mod.CorrectionState(tau=config.tau, window=config.window_t)
 
+    # The evaluation outputs a post-warm-up epoch decides on; the train
+    # metrics read the probs.
+    weighted_fgc = stage == "fgc" and config.prob_source == "weighted"
+    scores = ("weight",) if stage == "cgp" else ("weighted_probs",) if weighted_fgc else ()
     active = dataset
     records: list[EpochRecord] = []
 
     for epoch in range(config.epochs):
-        mean_loss, eval_out = run_epoch(model, active, config, velocity, epoch)
+        outputs = ("probs",) + (scores if epoch >= config.warmup_epochs else ())
+        mean_loss, eval_out = run_epoch(model, active, config, velocity, epoch, outputs)
         # Rows of the active set's evaluation forward; the train metrics
         # below reuse them, taken by mask after pruning.
         probs = eval_out["probs"]
@@ -230,7 +236,7 @@ def train_stage(
                 probs = probs[np.isin(scored.id_array, active.id_array)]
 
         if stage == "fgc" and epoch >= config.warmup_epochs:
-            key = "weighted_probs" if config.prob_source == "weighted" else "probs"
+            key = "weighted_probs" if weighted_fgc else "probs"
             for sid, row, label in zip(active.ids, eval_out[key], active.labels().tolist()):
                 fgc_mod.record_prediction(corr_state, sid, row, label, epoch)
             active, _ = fgc_mod.apply_corrections(corr_state, active, epoch)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from sciu.errors import ConfigurationError
 from sciu.model import (
+    OUTPUTS,
     SciuModel,
     _softmax_rows,
     backward_batch,
@@ -173,16 +175,21 @@ class TestForward:
                                          (300, 3, 2)])
     def test_bits_match_layerwise_reference(self, n, dim, k):
         # Reports stay byte-identical only if the shared forward keeps every
-        # float operation of the layer-by-layer one.
+        # float operation of the layer-by-layer one, whichever outputs a
+        # caller asks for.
         rng = np.random.default_rng(n)
         m = init_model(dim, 16, 4, k, seed=n)
         feats = rng.standard_normal((n, dim)) * 3.0
-        out = forward_batch(m, feats)
         want = reference_forward(m, feats)
-        assert out.keys() == want.keys()
-        for key in want:
-            assert out[key].shape == want[key].shape
-            np.testing.assert_array_equal(out[key], want[key])
+        subsets = [c for r in range(1, len(OUTPUTS) + 1)
+                   for c in itertools.combinations(OUTPUTS, r)]
+        for outputs, out in [(OUTPUTS, forward_batch(m, feats))] + [
+            (subset, forward_batch(m, feats, subset)) for subset in subsets
+        ]:
+            assert out.keys() == set(outputs)
+            for key in outputs:
+                assert out[key].shape == want[key].shape
+                assert out[key].tobytes() == want[key].tobytes(), (outputs, key)
 
     def test_bad_batch_shape(self):
         m = init_model(3, 4, 2, 3, seed=0)

@@ -7,10 +7,13 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from sciu import pipeline, trainer
 from sciu.cli import _check_output, _config_from_args, build_parser, main
 from sciu.dataset import load_dataset, save_dataset
 from sciu.errors import ConfigurationError, SciuError
+from sciu.model import forward_batch
 from sciu.pipeline import (
+    MODES,
     PipelineConfig,
     load_report,
     report_to_json,
@@ -97,6 +100,36 @@ class TestRunPipeline:
         report = run_pipeline(small_config(), noisy_dataset, "sciu")
         ws = report["weight_summary"]
         assert ws["mean_weight_pruned"] < ws["mean_weight_kept"]
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("score_source,prob_source",
+                             [("max_class", "weighted"), ("annotated_class", "unweighted")])
+    def test_report_same_when_forward_computes_every_output(
+        self, noisy_dataset, monkeypatch, mode, score_source, prob_source
+    ):
+        # Each caller asks `forward_batch` only for the outputs it reads (one
+        # that reads more fails with a KeyError); what it gets must be the
+        # bits of a forward that computes them all.
+        config = small_config(score_source=score_source, prob_source=prob_source)
+        report = report_to_json(run_pipeline(config, noisy_dataset, mode))
+
+        def every_output(model, features, outputs):
+            return forward_batch(model, features)
+
+        monkeypatch.setattr(trainer, "forward_batch", every_output)
+        monkeypatch.setattr(pipeline, "forward_batch", every_output)
+        assert report_to_json(run_pipeline(config, noisy_dataset, mode)) == report
+
+    def test_plain_training_asks_only_for_probs(self, noisy_dataset, monkeypatch):
+        asked = set()
+
+        def recording(model, features, outputs):
+            asked.add(outputs)
+            return forward_batch(model, features, outputs)
+
+        monkeypatch.setattr(trainer, "forward_batch", recording)
+        run_pipeline(small_config(), noisy_dataset, "baseline")
+        assert asked == {("probs",)}
 
 
 class TestSweep:
@@ -389,6 +422,23 @@ class TestCliBoundaries:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: --out-dir ") and "Traceback" not in proc.stderr
+
+    def test_diverging_run_prints_one_error_line(self, tiny_dataset_file):
+        # At learning rate 1e300 the first step overflows: numpy's warnings
+        # stay quiet, and the error names the batch and at most 5 ids.
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sciu.cli", "run", "--dataset", str(tiny_dataset_file),
+             "--mode", "sciu", "--epochs", "5", "--warmup-epochs", "1", "--window", "2",
+             "--learning-rate", "1e300"],
+            capture_output=True, text=True, env={"PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: non-finite loss"), lines
+        assert "batch of 44 samples" in lines[0]
+        ids = lines[0][lines[0].index("[") + 1 : lines[0].index("]")].split(",")
+        assert 1 <= len(ids) <= 5
 
     def test_missing_dataset_in_a_subprocess(self, tmp_path):
         src = Path(__file__).resolve().parents[1] / "src"

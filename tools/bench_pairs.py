@@ -7,11 +7,12 @@
 workload and seed the script runs `perfbench/run.py --trace 0` once in each
 checkout, one right after the other, the parent first on even pairs and
 the change first on odd ones, so that a drift in machine speed falls on
-both sides alike. It prints, per end-to-end metric, each side's median
-[q1, q3] over the pairs and in how many pairs the change was better, and it
-writes every run's last-line JSON with its seed and side, plus nproc, the
-numpy version and each checkout's commit (and whether its tree had
-uncommitted changes), to `--out`.
+both sides alike. It prints each side's median number of attempted
+operations and, per end-to-end metric, each side's median [q1, q3] over the
+pairs and in how many pairs the change was better, and it writes every
+run's last-line JSON with its seed and side, plus nproc, the numpy version
+and each checkout's commit (and whether its tree had uncommitted changes),
+to `--out`.
 """
 
 from __future__ import annotations
@@ -70,20 +71,30 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarise(runs: list[dict], workload: str, metrics: list[dict]) -> None:
+    """Print each side's median attempted operations and, per metric, its
+    median [q1, q3] and the change's wins. `test_war_true` is a median over
+    the operations a run attempted, each on its own pipeline seed, so pairs
+    whose sides attempted different numbers of operations are counted."""
     by_seed = {}
     for r in runs:
         if r["workload"] == workload and r["result"].get("correct"):
-            by_seed.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
+            by_seed.setdefault(r["seed"], {})[r["side"]] = r["result"]
     pairs = [p for p in by_seed.values() if len(p) == 2]
     print(f"\n{workload}: {len(pairs)} complete pairs")
+    if pairs:
+        print("  attempted (median)     " + "  ".join(
+            f"{s} {statistics.median(p[s]['attempted'] for p in pairs):g}" for s in SIDES))
+    differ = sum(p["parent"]["attempted"] != p["change"]["attempted"] for p in pairs)
     for m in metrics if pairs else []:
         name = m["name"]
-        side = {s: [p[s][name]["value"] for p in pairs] for s in SIDES}
+        side = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in SIDES}
         sign = 1 if m["better"] == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(side["parent"], side["change"]))
         cells = "  ".join("{} {:.4g} [{:.4g}, {:.4g}]".format(s, *quartiles(side[s]))
                           for s in SIDES)
-        print(f"  {name:<22} {cells}  change better {wins}/{len(pairs)}")
+        flag = (f"  different operation sets in {differ}/{len(pairs)} pairs"
+                if name == "test_war_true" and differ else "")
+        print(f"  {name:<22} {cells}  change better {wins}/{len(pairs)}{flag}")
     failed = sum(1 for r in runs if r["workload"] == workload and not r["result"].get("correct"))
     if failed:
         print(f"  {failed} runs failed")
