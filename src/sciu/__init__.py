@@ -18,22 +18,4 @@ from .pipeline import PipelineConfig, run_pipeline, sweep
 from .synth import SynthConfig, generate
 from .trainer import TrainConfig, train_stage
 
-__all__ = [
-    "CorrectionEvent",
-    "Dataset",
-    "PipelineConfig",
-    "Sample",
-    "SciuModel",
-    "SynthConfig",
-    "TrainConfig",
-    "generate",
-    "init_model",
-    "load_dataset",
-    "run_pipeline",
-    "save_dataset",
-    "stratified_split",
-    "sweep",
-    "train_stage",
-]
-
 __version__ = "0.1.0"

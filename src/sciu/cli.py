@@ -17,13 +17,13 @@ import numpy as np
 from .dataset import QUALITY_CODES, QUALITY_LOW, save_dataset
 from .errors import ConfigurationError, DegenerateRunError, NumericError, SciuError
 from .pipeline import (
-    SWEEP_PARAMS, PipelineConfig, run_pipeline, sweep, sweep_to_csv, write_report,
+    MODES, SWEEP_PARAMS, PipelineConfig, run_pipeline, sweep, sweep_to_csv, write_report,
 )
 from .report import render_report
 from .synth import SynthConfig, generate
 from .trainer import PROB_SOURCES, SCORE_SOURCES
 
-CLI_MODES = {"baseline": "baseline", "cgp": "cgp_only", "fgc": "fgc_only", "sciu": "sciu"}
+CLI_MODES = {m.removesuffix("_only"): m for m in MODES}
 
 
 # (flag, help) of the fields whose flag is not named after them or has a help text.

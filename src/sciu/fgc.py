@@ -15,6 +15,11 @@ applies it to every sample at once, from the (n, t) prediction windows of a
 only buffers a copy of the probability row; before `apply_corrections`
 reads the windows, the epoch's rows are stacked and their argmax, p_pred
 and p_gt written as one column each.
+
+τ enters only through the decisions: each `apply_corrections` narrows
+`CorrectionState.tau_range` to the [lo, hi) of τ′ that decide alike, `lo`
+the largest gap of a stable but rejected sample and `hi` the smallest gap
+of an accepted one; a NaN gap leaves no τ′.
 """
 
 from __future__ import annotations
@@ -82,6 +87,7 @@ class CorrectionState:
     tau: float
     window: int
     corrections: list[CorrectionEvent] = field(default_factory=list)
+    tau_range: tuple[float, float] = (-np.inf, np.inf)  # the τ that decide alike
     windows: RingWindows = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -130,7 +136,7 @@ def apply_corrections(
 
     Every sample with a full window is decided at once. Returns (D4 with
     the same sample ids, events for this call). Each corrected sample's
-    history is cleared.
+    history is cleared and `state.tau_range` narrowed.
     """
     w = state.windows
     pos, rows = w.full_rows(dataset.id_array)
@@ -138,6 +144,9 @@ def apply_corrections(
     stable = (preds == preds[:, :1]).all(axis=1)  # label_stable
     gap = w.mean("p_pred", rows) - w.mean("p_gt", rows)  # score_gap
     accept = stable & (gap > state.tau)  # correction_decision
+    lo, hi = state.tau_range  # once NaN, lo stays NaN
+    state.tau_range = (float(gap[stable & ~accept].max(initial=lo)),
+                       float(gap[accept].min(initial=hi)))
     events = [
         CorrectionEvent(sid, old, new, epoch)
         for sid, old, new in zip(

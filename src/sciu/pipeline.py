@@ -7,7 +7,9 @@ report files.
 
 Within one `sweep`, cells that give a stage the same inputs share one
 computation of it (`StageMemo`); a plain `run_pipeline` call computes every
-stage.
+stage. An FGC stage is reused for every τ in its `tau_range` [lo, hi):
+`lo` the largest gap of a stable but rejected sample, `hi` the smallest
+gap of an accepted one, over all its epochs; those τ correct alike.
 """
 
 from __future__ import annotations
@@ -45,16 +47,17 @@ class PipelineConfig(TrainConfig):
 class StageMemo:
     """Stage results shared by the cells of one sweep.
 
-    A stage's result is keyed by the stage, the values of the config fields
-    it reads (`STAGE_FIELDS`) and the content fingerprints of its training
-    input and of the test split, so cells that agree on all of them compute
-    it once. A stage that raises is not kept: it raises again in every cell
-    that reaches it. `counts` holds, per stage, how many results were
+    Results are keyed by the stage, the values of the config fields it
+    reads (`STAGE_FIELDS`) but τ and the content fingerprints of its
+    training input and of the test split; a cell reuses the first result of
+    its key whose `tau_range` [lo, hi) holds its τ (every τ, for CGP and the
+    final stage). A stage that raises is not kept: it raises again in every
+    cell that reaches it. `counts` holds, per stage, how many results were
     computed (and returned) and how many were reused.
     """
 
     def __init__(self):
-        self.results: dict[tuple, StageResult] = {}
+        self.results: dict[tuple, list[StageResult]] = {}
         self.counts = {stage: {"computed": 0, "reused": 0} for stage in STAGES}
 
 
@@ -63,19 +66,21 @@ def _train(
     memo: Optional[StageMemo],
 ) -> StageResult:
     """`train_stage`, or the result of an earlier call with the same inputs
-    when `memo` holds one. The result may be shared: read it, never change
-    it."""
+    but τ, and τ in its [lo, hi) `tau_range`, when `memo` holds one. The
+    result may be shared: read it, never change it."""
     if memo is None:
         return train_stage(dataset, config, stage, test)
     # repr keeps 3 and 3.0 (or 0.0 and -0.0) apart, which == would not.
-    values = repr(tuple(getattr(config, f) for f in STAGE_FIELDS[stage]))
+    values = repr(tuple(getattr(config, f) for f in STAGE_FIELDS[stage] if f != "tau"))
     key = (stage, values, dataset.fingerprint(), test.fingerprint())
-    result = memo.results.get(key)
-    if result is None:
-        result = memo.results[key] = train_stage(dataset, config, stage, test)
-        memo.counts[stage]["computed"] += 1
-    else:
-        memo.counts[stage]["reused"] += 1
+    for result in memo.results.get(key, ()):
+        lo, hi = result.tau_range
+        if lo <= config.tau < hi:
+            memo.counts[stage]["reused"] += 1
+            return result
+    result = train_stage(dataset, config, stage, test)
+    memo.results.setdefault(key, []).append(result)
+    memo.counts[stage]["computed"] += 1
     return result
 
 

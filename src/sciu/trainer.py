@@ -31,7 +31,8 @@ PROB_SOURCES = ("weighted", "unweighted")
 
 # The TrainConfig fields each stage reads. A stage's result is a function of
 # these, its training input and the test split, and nothing else (so a sweep
-# can share it between cells that agree on all three).
+# can share it between cells that agree on all three). FGC reads tau only
+# through its decisions: its result holds for every tau in its `tau_range`.
 _PLAIN_FIELDS = (
     "learning_rate", "momentum", "batch_size", "epochs", "seed", "embed_dim", "hidden_dim",
 )
@@ -107,6 +108,7 @@ class StageResult:
     prune_log: list[dict] = field(default_factory=list)
     correction_events: list = field(default_factory=list)
     pruned_ids: set = field(default_factory=set)
+    tau_range: tuple[float, float] = (-math.inf, math.inf)  # see fgc.CorrectionState
 
 
 def run_epoch(
@@ -271,4 +273,5 @@ def train_stage(
         prune_log=prune_state.prune_log,
         correction_events=corr_state.corrections,
         pruned_ids=prune_state.pruned_ids,
+        tau_range=corr_state.tau_range,
     )

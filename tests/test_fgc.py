@@ -173,6 +173,39 @@ class TestApplyCorrections:
         _, events = apply_corrections(state, ds, epoch=2)
         assert not events
 
+    def test_tau_range_from_the_gaps_decided(self):
+        """lo: the largest gap of a stable, rejected sample; hi: the
+        smallest gap of an accepted one; unstable samples do not count."""
+        ds = toy_dataset([0, 0, 0, 0])
+        state = CorrectionState(tau=0.2, window=2)
+        rows = {0: [0.45, 0.55, 0, 0], 1: [0.2, 0.8, 0, 0], 2: [0.1, 0.9, 0, 0]}
+        for epoch in range(2):
+            for sid, row in rows.items():
+                record_prediction(state, sid, np.array(row), 0, epoch)
+            flip = [0.0, 0.0, 1.0, 0.0] if epoch else [0.0, 1.0, 0.0, 0.0]
+            record_prediction(state, 3, np.array(flip), 0, epoch)
+        _, events = apply_corrections(state, ds, epoch=1)
+        assert [e.sample_id for e in events] == [1, 2]
+        assert state.tau_range == (0.55 - 0.45, 0.8 - 0.2)
+        # A later call only narrows the range.
+        for epoch in (2, 3):
+            record_prediction(state, 0, np.array([0.3, 0.7, 0, 0]), 0, epoch)
+        apply_corrections(state, ds, epoch=3)
+        assert state.tau_range == (0.55 - 0.45, 0.7 - 0.3)
+
+    def test_nan_gap_leaves_no_tau_in_range(self):
+        ds = toy_dataset([0, 0])
+        state = CorrectionState(tau=0.2, window=2)
+        for epoch in range(2):
+            record_prediction(state, 0, np.array([np.nan, 0.0, 0.0, 0.0]), 0, epoch)
+            record_prediction(state, 1, np.array([0.1, 0.9, 0.0, 0.0]), 0, epoch)
+        _, events = apply_corrections(state, ds, epoch=1)
+        assert [e.sample_id for e in events] == [1]
+        lo, hi = state.tau_range
+        assert np.isnan(lo) and hi == 0.9 - 0.1
+        apply_corrections(state, ds, epoch=2)
+        assert np.isnan(state.tau_range[0])
+
     def test_tau_monotonicity_property(self):
         rng = np.random.default_rng(4)
         histories = {}

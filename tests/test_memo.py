@@ -2,6 +2,7 @@
 computation of it, and every report is the same bytes as without sharing."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -52,6 +53,12 @@ def capture(monkeypatch, use_memo=True):
     return cells, memos
 
 
+def stored(memo, stage=None):
+    """Every result `memo` holds, or those of one stage."""
+    return [r for key, results in memo.results.items() for r in results
+            if stage in (None, key[0])]
+
+
 def count_train_stage(monkeypatch):
     calls = []
     original = pipeline.train_stage
@@ -64,11 +71,33 @@ def count_train_stage(monkeypatch):
     return calls
 
 
+def fgc_range(dataset, config, mode):
+    """The `tau_range` of the FGC stage a `mode` run of `config` computes."""
+    memo = StageMemo()
+    run_pipeline(config, dataset, mode, memo=memo)
+    (result,) = stored(memo, "fgc")
+    return result.tau_range
+
+
 class TestByteIdentity:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("parameter", sorted(VALUES))
     def test_cells_and_csv_equal_uncached(self, dataset, monkeypatch, parameter, mode):
-        values = VALUES[parameter]
+        self.check(dataset, monkeypatch, parameter, VALUES[parameter], mode)
+
+    @pytest.mark.parametrize("mode", ["fgc_only", "sciu"])
+    def test_tau_sweep_reusing_fgc_equals_uncached(self, dataset, monkeypatch, mode):
+        """The second τ lies in seed 0's range of the first, so at least
+        that cell's FGC stage is reused."""
+        _, hi = fgc_range(dataset, small_config(tau=0.5), mode)
+        assert hi > 0.5
+        result = self.check(dataset, monkeypatch, "tau", [0.5, (0.5 + hi) / 2], mode)
+        assert result["stages"]["fgc"]["reused"] > 0
+
+    @staticmethod
+    def check(dataset, monkeypatch, parameter, values, mode):
+        """Each cell's report is the same bytes as an unmemoized run of its
+        config, and the sweep's result is that of an unmemoized sweep."""
         cells, _ = capture(monkeypatch)
         result = sweep(small_config(), parameter, values, dataset, mode=mode, seeds=SEEDS)
         assert len(cells) == len(values) * len(SEEDS)
@@ -82,6 +111,7 @@ class TestByteIdentity:
         assert {k: v for k, v in result.items() if k != "stages"} == \
             {k: v for k, v in uncached.items() if k != "stages"}
         assert cells == plain_cells
+        return result
 
     def test_purification_happens(self, dataset):
         """The byte-identity cases compare pruned and corrected runs."""
@@ -129,7 +159,7 @@ class TestReuse:
         assert a[0] is not b[0]
         assert second["stages"] == first["stages"]
         assert first["stages"]["cgp"]["computed"] == len(SEEDS)
-        shared = {id(r) for r in a[0].results.values()} & {id(r) for r in b[0].results.values()}
+        shared = {id(r) for r in stored(a[0])} & {id(r) for r in stored(b[0])}
         assert not shared
 
     def test_key_holds_config_training_input_and_test_split(self, dataset):
@@ -159,6 +189,73 @@ class TestReuse:
         assert result["stages"]["cgp"] == {"computed": 0, "reused": 0}
 
 
+class TestTauRange:
+    """A computed FGC stage's [lo, hi) `tau_range` holds exactly the τ that
+    make its decisions, and a memo reuses the stage for those τ only."""
+
+    @pytest.fixture(scope="class")
+    def stage(self, dataset):
+        config = TrainConfig(epochs=16, warmup_epochs=10, window_t=2, learning_rate=0.1)
+        train, test = stratified_split(dataset, 0.8, 0)
+        result = train_stage(train, config, "fgc", test)
+        assert result.correction_events
+        return train, test, config, result
+
+    def test_every_tau_in_range_gives_the_same_stage(self, stage):
+        train, test, config, result = stage
+        lo, hi = result.tau_range
+        assert lo < config.tau < hi
+        inside = [(lo + hi) / 2, np.nextafter(hi, 0)] + ([lo] if lo > 0 else [])
+        for tau in inside:
+            fresh = train_stage(train, dataclasses.replace(config, tau=float(tau)), "fgc", test)
+            assert _stage_bytes(fresh) == _stage_bytes(result), tau
+
+    def test_each_end_is_tight(self, stage):
+        """At hi the sample with gap hi is not accepted; just below a
+        positive lo the sample with gap lo is."""
+        train, test, config, result = stage
+        lo, hi = result.tau_range
+        outside = [hi] + ([np.nextafter(lo, 0)] if lo > 0 else [])
+        for tau in outside:
+            fresh = train_stage(train, dataclasses.replace(config, tau=float(tau)), "fgc", test)
+            assert _stage_bytes(fresh)[0] != _stage_bytes(result)[0], tau
+
+    def test_memo_reuses_inside_and_computes_at_hi(self, stage):
+        train, test, config, result = stage
+        lo, hi = result.tau_range
+        memo = StageMemo()
+        first = pipeline._train(train, config, "fgc", test, memo)
+        assert first.tau_range == (lo, hi)
+        inside = pipeline._train(
+            train, dataclasses.replace(config, tau=float(np.nextafter(hi, 0))), "fgc", test, memo)
+        assert inside is first
+        at_hi = pipeline._train(train, dataclasses.replace(config, tau=hi), "fgc", test, memo)
+        assert at_hi is not first
+        assert memo.counts["fgc"] == {"computed": 2, "reused": 1}
+        assert [id(r) for r in stored(memo)] == [id(first), id(at_hi)]
+
+    def test_nan_gap_blocks_reuse(self, stage, monkeypatch):
+        train, test, config, _ = stage
+        original = pipeline.train_stage
+
+        def nan_low(*args, **kwargs):
+            result = original(*args, **kwargs)
+            return dataclasses.replace(result, tau_range=(math.nan, result.tau_range[1]))
+
+        monkeypatch.setattr(pipeline, "train_stage", nan_low)
+        memo = StageMemo()
+        pipeline._train(train, config, "fgc", test, memo)
+        pipeline._train(train, config, "fgc", test, memo)
+        assert memo.counts["fgc"] == {"computed": 2, "reused": 0}
+
+    @pytest.mark.parametrize("stage_name", ["cgp", "plain"])
+    def test_other_stages_hold_every_tau(self, dataset, stage_name):
+        train, test = stratified_split(dataset, 0.8, 0)
+        config = TrainConfig(epochs=16, warmup_epochs=10, window_t=2, learning_rate=0.1)
+        result = train_stage(train, config, stage_name, test)
+        assert result.tau_range == (-math.inf, math.inf)
+
+
 class TestReportAliasing:
     def test_mutating_a_cell_report_leaves_the_next_cell(self, dataset, monkeypatch):
         """Cells 0 and 2 share their CGP stage; each cell's prune log is
@@ -185,7 +282,7 @@ class TestReportAliasing:
     def test_fragment_does_not_share_the_stage_log(self, dataset):
         memo = StageMemo()
         first = run_pipeline(small_config(tau=0.1), dataset, "cgp_only", memo=memo)
-        (result,) = [r for key, r in memo.results.items() if key[0] == "cgp"]
+        (result,) = stored(memo, "cgp")
         first["stages"][0]["prune_log"][0]["sample_id"] = -5
         assert all(e["sample_id"] >= 0 for e in result.prune_log)
         second = run_pipeline(small_config(tau=0.3), dataset, "cgp_only", memo=memo)

@@ -11,7 +11,10 @@ line per output:
   0-4) run on those datasets after `load_dataset` reads them back: 40
   reports;
 - the `sweep_to_csv` text of a τ sweep (0.1, 0.3) over seeds 0 and 1 in
-  sciu mode on dataset seed 0.
+  sciu mode on dataset seed 0, then the `report_to_json` text of each of
+  its 4 cells, caught at `pipeline.run_pipeline` as the sweep calls it (a
+  stage the sweep shares between cells must leave every cell's report as
+  an unshared run writes it).
 
 Run it on two commits and diff the output. The digests depend on the numpy
 build and the CPU's BLAS kernels, which may differ in the last bit between
@@ -27,6 +30,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from sciu import pipeline  # noqa: E402
 from sciu.dataset import load_dataset, save_dataset  # noqa: E402
 from sciu.pipeline import (  # noqa: E402
     MODES, PipelineConfig, report_to_json, run_pipeline, sweep, sweep_to_csv,
@@ -55,10 +59,24 @@ def main() -> None:
                 report = run_pipeline(PipelineConfig(seed=seed), dataset, mode)
                 print(f"{sha(report_to_json(report).encode())}  report "
                       f"dataset={ds_seed} mode={mode} seed={seed}", flush=True)
-    result = sweep(PipelineConfig(), "tau", [0.1, 0.3], datasets[0], mode="sciu",
-                   seeds=[0, 1])
+    cells = []
+
+    def capturing(config, *args, **kwargs):
+        report = run_pipeline(config, *args, **kwargs)
+        cells.append((config, report_to_json(report)))
+        return report
+
+    pipeline.run_pipeline = capturing
+    try:
+        result = sweep(PipelineConfig(), "tau", [0.1, 0.3], datasets[0], mode="sciu",
+                       seeds=[0, 1])
+    finally:
+        pipeline.run_pipeline = run_pipeline
     print(f"{sha(sweep_to_csv(result).encode())}  sweep tau=0.1,0.3 seeds=0,1 "
           f"mode=sciu dataset=0")
+    for config, text in cells:
+        print(f"{sha(text.encode())}  sweep cell tau={config.tau} seed={config.seed} "
+              f"mode=sciu dataset=0")
 
 
 if __name__ == "__main__":
