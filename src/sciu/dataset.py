@@ -293,7 +293,7 @@ def load_dataset(path) -> Dataset:
         raise ParseError(f"{path}: empty file, missing header")
     try:
         header = json.loads(raw_lines[0])
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # too deep, or an int of > 4,300 digits
         raise ParseError(f"{path}:1: malformed header: {e}") from e
     if not isinstance(header, dict) or header.get("format") != "sciu-dataset":
         raise ParseError(f"{path}:1: not a sciu-dataset header")
@@ -308,7 +308,7 @@ def load_dataset(path) -> Dataset:
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise ParseError(f"{path}:{lineno}: malformed record: {e}") from e
         if not isinstance(rec, dict):
             raise ParseError(f"{path}:{lineno}: record is not an object")

@@ -13,7 +13,9 @@ hand-derived analytic gradient of this loss, checked against finite
 differences in the test suite. It and `forward_batch` run the same layer
 functions (`_encode`, `_weigh`, `_softmax_rows`), so training and inference
 compute every layer with the same float operations; `forward_batch` skips
-the ones whose outputs its caller does not ask for.
+the ones whose outputs its caller does not ask for. A minibatch is ~60 small
+numpy calls that cost more in dispatch than in flops, so the layers call
+ufuncs directly and write in place, keeping every float operation.
 
 Parameters live in one contiguous float64 vector, `model.flat`: the eight
 arrays of `parameters()` one after another, in that order, each row-major.
@@ -108,21 +110,29 @@ def init_model(
         raise ConfigurationError(f"cannot build a model of {n_classes} classes: {e}") from e
 
 
+def _linear(x: np.ndarray, layer: LinearLayer) -> np.ndarray:
+    """x W^T + b over a batch, the bias added in place on the fresh product."""
+    y = x @ layer.weight.T
+    y += layer.bias
+    return y
+
+
 def _encode(model: SciuModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
     """Encoder and classifier over a float64 batch: (pre_emb, emb, logits)."""
-    pre_emb = x @ model.encoder.weight.T + model.encoder.bias
+    pre_emb = _linear(x, model.encoder)
     emb = np.maximum(pre_emb, 0.0)
-    return pre_emb, emb, emb @ model.classifier.weight.T + model.classifier.bias
+    return pre_emb, emb, _linear(emb, model.classifier)
 
 
 def _weigh(model: SciuModel, emb: np.ndarray) -> tuple[np.ndarray, ...]:
     """Weight branch over the embeddings: (pre_hid, hidden, (n,) weights w)."""
-    pre_hid = emb @ model.wb_hidden.weight.T + model.wb_hidden.bias
+    pre_hid = _linear(emb, model.wb_hidden)
     hidden = np.maximum(pre_hid, 0.0)
-    pre_sig = (hidden @ model.wb_out.weight.T + model.wb_out.bias)[:, 0]
-    # Stable sigmoid: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below.
+    pre_sig = _linear(hidden, model.wb_out)[:, 0]
+    # Stable sigmoid: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below; with e in
+    # [0, 1], the numerator max(e, x >= 0) is 1 or e.
     e = np.exp(-np.abs(pre_sig))
-    return pre_hid, hidden, np.where(pre_sig >= 0, 1.0, e) / (1.0 + e)
+    return pre_hid, hidden, np.maximum(e, pre_sig >= 0) / (1.0 + e)
 
 
 def _forward(model: SciuModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -144,7 +154,7 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     exponentiate, normalize."""
     z -= row_max(z)[:, None]
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    z /= np.add.reduce(z, 1, keepdims=True)
     return z
 
 
@@ -193,7 +203,7 @@ def backward_batch(
 
     Returns (grads, mean loss). The grads are views of `model.grad`, which
     the next call overwrites. The forward half is `_forward`, the layers
-    `forward_batch` runs, and the gradient overwrites its softmax in place.
+    `forward_batch` runs, and the gradient overwrites its arrays in place.
     This is the training hot path: it leaves checking shapes and labels to
     `forward_batch`, `batch_loss` and the dataset.
     """
@@ -204,33 +214,37 @@ def backward_batch(
     g_enc_w, g_enc_b, g_cls_w, g_cls_b, g_hid_w, g_hid_b, g_out_w, g_out_b = model._grads
     pre_emb, emb, logits, pre_hid, hidden, w, wp = _forward(model, features)
 
-    idx = np.arange(n)
-    loss = float((-np.log(np.maximum(wp[idx, labels], 1e-12))).mean())
+    # Each row's label prob, by its position in the flattened softmax; the
+    # loss is the mean of -log p, and `0.0 -` keeps an all-zero sum +0.0.
+    at_label = np.arange(0, wp.size, wp.shape[1]) + labels
+    p_label = wp.reshape(-1)[at_label]
+    loss = 0.0 - float(np.add.reduce(np.log(np.maximum(p_label, 1e-12)))) / n
 
-    # d(mean loss)/d(weighted logits) = (softmax - onehot)/n
+    # d(mean loss)/d(weighted logits) = (softmax - onehot)/n, in place on wp
     d_m = wp
-    d_m[idx, labels] -= 1.0
+    d_m.reshape(-1)[at_label] = p_label - 1.0
     d_m /= n
 
     d_logits = w[:, None] * d_m
-    d_w = (d_m * logits).sum(axis=1)
+    logits *= d_m
+    d_w = np.add.reduce(logits, 1)
 
     np.matmul(d_logits.T, emb, out=g_cls_w)
-    d_logits.sum(axis=0, out=g_cls_b)
+    np.add.reduce(d_logits, 0, out=g_cls_b)
     d_emb = d_logits @ cls.weight
 
-    d_pre_sig = d_w * w * (1.0 - w)
+    d_pre_sig = d_w * w
+    d_pre_sig *= 1.0 - w
     np.matmul(d_pre_sig, hidden, out=g_out_w[0])
-    d_pre_sig.sum(keepdims=True, out=g_out_b)
-    d_hidden = d_pre_sig[:, None] * out.weight[0][None, :]
-    d_pre_hid = d_hidden * (pre_hid > 0)
+    np.add.reduce(d_pre_sig, 0, out=g_out_b, keepdims=True)
+    d_pre_hid = np.multiply.outer(d_pre_sig, out.weight[0])
+    d_pre_hid *= pre_hid > 0
     np.matmul(d_pre_hid.T, emb, out=g_hid_w)
-    d_pre_hid.sum(axis=0, out=g_hid_b)
+    np.add.reduce(d_pre_hid, 0, out=g_hid_b)
     d_emb += d_pre_hid @ hid.weight
 
-    d_pre_emb = d_emb * (pre_emb > 0)
+    d_pre_emb = np.multiply(d_emb, pre_emb > 0, out=d_emb)
     np.matmul(d_pre_emb.T, features, out=g_enc_w)
-    d_pre_emb.sum(axis=0, out=g_enc_b)
+    np.add.reduce(d_pre_emb, 0, out=g_enc_b)
 
     return list(model._grads), loss
-

@@ -1,6 +1,6 @@
 """Minimal dense numerics: linear layers, the reference primitives the tests
-check the model against (linear, activations, cross-entropy), SGD with
-momentum, and a finite-difference gradient oracle.
+check the model and trainer against (linear, activations, cross-entropy, SGD
+with momentum), and a finite-difference gradient oracle.
 
 Everything operates on float64 numpy arrays. Vectors are 1-D arrays,
 matrices are 2-D arrays in row-major order. All functions are pure except

@@ -216,7 +216,7 @@ def load_report(path: str | Path) -> dict:
         raise ParseError(f"{path}: not a text file: {e}") from e
     try:
         report = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # too deep, or an int of > 4,300 digits
         raise ParseError(f"{path}: corrupt report: {e}") from e
     if not isinstance(report, dict):
         raise ParseError(f"{path}: not a RunReport")

@@ -24,7 +24,6 @@ from .dataset import Dataset
 from .errors import ConfigurationError, DegenerateRunError, NumericError
 from .metrics import ConfusionMatrix, uar, war
 from .model import SciuModel, backward_batch, forward_batch, init_model, row_max
-from .nn_core import sgd_momentum_step
 
 SCORE_SOURCES = ("annotated_class", "max_class")
 PROB_SOURCES = ("weighted", "unweighted")
@@ -124,7 +123,8 @@ def run_epoch(
 
     The rows are gathered into shuffled order once; each minibatch is a
     slice of them, and one momentum step on `model.flat` (with `velocity`
-    of the same layout) updates every layer.
+    of the same layout) updates every layer: `nn_core.sgd_momentum_step`'s
+    arithmetic, less the checks `TrainConfig.validate` has already made.
 
     Returns (mean batch loss, eval outputs aligned with dataset order).
     """
@@ -136,7 +136,6 @@ def run_epoch(
     shuffled = feats[order]
     labels = dataset.labels()[order]
 
-    params, grads, velocities = [model.flat], [model.grad], [velocity]
     lr, momentum, size = config.learning_rate, config.momentum, config.batch_size
     losses = []
     for start in range(0, len(order), size):
@@ -148,7 +147,9 @@ def run_epoch(
                 f"non-finite loss at epoch {epoch}, batch of {len(batch)} samples starting "
                 f"{start}, first sample ids {dataset.id_array[batch][:5].tolist()}"
             )
-        sgd_momentum_step(params, grads, velocities, lr, momentum)
+        velocity *= momentum
+        velocity += model.grad
+        model.flat -= lr * velocity
         losses.append(loss)
 
     eval_out = forward_batch(model, feats, outputs)

@@ -279,6 +279,26 @@ class TestLoadErrors:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ('{"format":"sciu-dataset","n_classes":' + "7" * 5000 + ',"dim":2}\n' + RECORD, 1),
+            (HEADER + '{"id":' + "7" * 5000 + ',"features":[1.0,0.0],"label":0}\n', 2),
+            ("[" * 100000 + "]" * 100000 + "\n" + RECORD, 1),
+            (HEADER + RECORD + "[" * 100000 + "]" * 100000 + "\n", 3),
+        ],
+        ids=["header-5000-digits", "id-5000-digits", "header-too-deep", "record-too-deep"],
+    )
+    def test_json_beyond_the_decoder_exits_2_naming_the_line(self, tmp_path, text, line):
+        # json.loads raises ValueError past 4,300 digits and RecursionError
+        # on deep nesting, not JSONDecodeError.
+        path = tmp_path / "d.jsonl"
+        path.write_text(text)
+        code, err = run_cli("run", "--dataset", str(path), "--mode", "baseline")
+        assert code == 2
+        assert err.startswith(f"error: {path}:{line}: malformed ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestIntegerFields:
     @pytest.mark.parametrize(

@@ -235,9 +235,12 @@ class TestBackward:
             wb_hidden=LinearLayer(np.zeros((2, 2)), np.zeros(2)),
             wb_out=LinearLayer(np.zeros((1, 2)), np.array([40.0])),
         )
-        grads, _ = backward_batch(m, np.array([[1.0, 1.0]]), np.array([0]))
+        grads, loss = backward_batch(m, np.array([[1.0, 1.0]]), np.array([0]))
         total = math.sqrt(sum(float(np.sum(g**2)) for g in grads))
         assert total < 1e-6
+        # The label prob is exactly 1: the loss is +0.0, as the mean of
+        # negated logs gives it, not -0.0.
+        assert np.float64(loss).tobytes() == bytes(8)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -268,21 +271,34 @@ class TestBackward:
         _, loss = backward_batch(m, feats, labels)
         assert loss == pytest.approx(batch_loss(m, feats, labels), abs=1e-12)
 
-    @pytest.mark.parametrize("seed", range(5))
+    # (rows, classes, weight-branch output bias) per seed. 16 rows is the
+    # ragged last minibatch of a 3,920-row epoch; 23 classes take numpy's
+    # pairwise sum along the class axis; a bias of +40 saturates w to 1.0,
+    # so 1 - w is 0, and -40 drives w towards 0.
+    BITS_CASES = [
+        (1, 7, None), (7, 7, None), (64, 7, None), (64, 7, None), (33, 7, None),
+        (16, 7, None), (64, 2, None), (16, 2, None), (64, 23, None), (1, 23, None),
+        (64, 7, 40.0), (16, 7, -40.0), (1, 2, 40.0), (33, 23, -40.0),
+    ]
+
+    @pytest.mark.parametrize("seed", range(len(BITS_CASES)))
     def test_bits_match_layerwise_reference(self, seed):
         # Training reports stay byte-identical only if the shared forward
-        # and in-place gradient writes keep every float operation.
+        # and in-place gradient writes keep every float operation, so the
+        # bytes are compared: an equality check takes -0.0 for 0.0.
+        n, k, bias = self.BITS_CASES[seed]
         rng = np.random.default_rng(seed)
-        m = init_model(16, 16, 4, 7, seed=seed)
-        n = [1, 7, 64, 64, 33][seed]
+        m = init_model(16, 16, 4, k, seed=seed)
+        if bias is not None:
+            m.wb_out.bias[:] = bias
         feats = rng.standard_normal((n, 16)) * 3.0
-        labels = rng.integers(0, 7, n)
+        labels = rng.integers(0, k, n)
         grads, loss = backward_batch(m, feats, labels)
         want, want_loss = reference_backward(m, feats, labels)
-        assert loss == want_loss
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
         for g, w in zip(grads, want):
             assert g.shape == w.shape
-            np.testing.assert_array_equal(g, w)
+            assert g.tobytes() == w.tobytes()
 
 
 class TestFlatLayout:

@@ -451,6 +451,25 @@ class TestCliBoundaries:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100000 + "]" * 100000,
+        '{"mode": ' + "7" * 5000 + "}",
+        '{"mode": "sciu",\n "stages": [}',
+    ], ids=["too-deep", "5000-digits", "decode-error"])
+    def test_unreadable_report_in_a_subprocess(self, tmp_path, text):
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = tmp_path / "bad.struct"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "sciu.cli", "report", "--report", str(path),
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env={"PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {path}: corrupt report: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.fixture(scope="module")
 def tiny_dataset_file(tmp_path_factory):

@@ -5,7 +5,8 @@ from sciu.dataset import QUALITY_LOW, Dataset, Sample
 from sciu.errors import ConfigurationError, DegenerateRunError, NumericError
 from sciu.metrics import pruning_quality
 from sciu.synth import SynthConfig, generate
-from sciu.model import init_model
+from sciu.model import OUTPUTS, backward_batch, forward_batch, init_model
+from sciu.nn_core import sgd_momentum_step
 from sciu import trainer
 from sciu.trainer import TrainConfig, evaluate, train_stage
 
@@ -197,6 +198,44 @@ class TestTrainMetricsReuseEvalForward:
         result = train_stage(ds, small_config(), "plain")
         last = result.epoch_records[-1]
         assert (last.train_war, last.train_uar) == evaluate(result.model, ds)[:2]
+
+
+def reference_epoch(model, dataset, config, velocity, epoch):
+    """`run_epoch` written with `backward_batch` and the per-array
+    `nn_core.sgd_momentum_step` over the same shuffled minibatches."""
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, epoch, 0xE9]))
+    order = rng.permutation(len(dataset))
+    feats, labels = dataset.features_matrix(), dataset.labels()
+    cuts = np.cumsum([p.size for p in model.parameters()])[:-1]
+    velocities = [v.reshape(p.shape) for v, p in zip(np.split(velocity, cuts), model.parameters())]
+    losses = []
+    for start in range(0, len(order), config.batch_size):
+        batch = order[start : start + config.batch_size]
+        grads, loss = backward_batch(model, feats[batch], labels[batch])
+        sgd_momentum_step(model.parameters(), grads, velocities, config.learning_rate,
+                          config.momentum)
+        losses.append(loss)
+    return float(np.mean(losses)), forward_batch(model, feats, OUTPUTS)
+
+
+class TestRunEpoch:
+    @pytest.mark.parametrize("batch_size", [64, 50, 1000])
+    def test_bits_match_reference_epoch(self, batch_size):
+        # 490 rows leave a ragged last minibatch at 64 and 50; 1000 is one batch.
+        ds = generate(SynthConfig(per_class=70, seed=2))
+        cfg = small_config(batch_size=batch_size, seed=3)
+        models = [init_model(ds.dim, cfg.embed_dim, cfg.hidden_dim, ds.n_classes, cfg.seed)
+                  for _ in range(2)]
+        velocities = [np.zeros_like(m.flat) for m in models]
+        for epoch in range(3):
+            loss, out = trainer.run_epoch(models[0], ds, cfg, velocities[0], epoch, OUTPUTS)
+            want_loss, want = reference_epoch(models[1], ds, cfg, velocities[1], epoch)
+            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+            assert models[0].flat.tobytes() == models[1].flat.tobytes()
+            assert velocities[0].tobytes() == velocities[1].tobytes()
+            for key in OUTPUTS:
+                assert out[key].tobytes() == want[key].tobytes(), key
+        assert velocities[0].any()
 
 
 class TestSaturation:

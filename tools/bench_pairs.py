@@ -8,11 +8,12 @@ workload and seed the script runs `perfbench/run.py --trace 0` once in each
 checkout, one right after the other, the parent first on even pairs and
 the change first on odd ones, so that a drift in machine speed falls on
 both sides alike. It prints each side's median number of attempted
-operations and, per end-to-end metric, each side's median [q1, q3] over the
-pairs and in how many pairs the change was better, and it writes every
-run's last-line JSON with its seed and side, plus nproc, the numpy version
-and each checkout's commit (and whether its tree had uncommitted changes),
-to `--out`.
+operations; in how many of the pairs whose sides attempted the same
+operations both sides read the same `test_war_true`; and, per end-to-end
+metric, each side's median [q1, q3] over the pairs and in how many pairs the
+change was better. It writes every run's last-line JSON with its seed and
+side, plus nproc, the numpy version and each checkout's commit (and whether
+its tree had uncommitted changes), to `--out`.
 """
 
 from __future__ import annotations
@@ -74,17 +75,24 @@ def summarise(runs: list[dict], workload: str, metrics: list[dict]) -> None:
     """Print each side's median attempted operations and, per metric, its
     median [q1, q3] and the change's wins. `test_war_true` is a median over
     the operations a run attempted, each on its own pipeline seed, so pairs
-    whose sides attempted different numbers of operations are counted."""
+    whose sides attempted different numbers of operations are counted, and
+    of the others, those whose sides agree on it: all of them, for a change
+    that keeps every report byte-identical."""
     by_seed = {}
     for r in runs:
         if r["workload"] == workload and r["result"].get("correct"):
             by_seed.setdefault(r["seed"], {})[r["side"]] = r["result"]
     pairs = [p for p in by_seed.values() if len(p) == 2]
     print(f"\n{workload}: {len(pairs)} complete pairs")
+    same_ops = [p for p in pairs if p["parent"]["attempted"] == p["change"]["attempted"]]
+    differ = len(pairs) - len(same_ops)
     if pairs:
         print("  attempted (median)     " + "  ".join(
             f"{s} {statistics.median(p[s]['attempted'] for p in pairs):g}" for s in SIDES))
-    differ = sum(p["parent"]["attempted"] != p["change"]["attempted"] for p in pairs)
+        same_war = sum(len({p[s]["metrics"]["test_war_true"]["value"] for s in SIDES}) == 1
+                       for p in same_ops)
+        print(f"  test_war_true equal in {same_war}/{len(same_ops)} pairs that attempted "
+              "the same operations")
     for m in metrics if pairs else []:
         name = m["name"]
         side = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in SIDES}
