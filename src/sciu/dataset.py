@@ -75,6 +75,14 @@ _DTYPES = Columns(np.int64, np.float64, np.int64, np.int64, np.int8)
 _QUALITY_NAMES = {code: name for name, code in QUALITY_CODES.items()}
 # The raw (id, features, label, true_label, quality_flag) record of a Sample.
 _record = attrgetter(*(f.name for f in fields(Sample)))
+_scan = json.JSONDecoder().scan_once  # json.loads' scanner: same settings, no wrappers
+
+
+class _OutOfRange(ValidationError):
+    """A record's id, label or true_label that int64 cannot hold."""
+    def __init__(self, index: int, field: str):
+        super().__init__(f"record {index}: {field} out of the int64 range")
+        self.index, self.field = index, field
 
 
 def _is_int(value) -> bool:
@@ -93,10 +101,16 @@ def _columns(records: list[tuple], dim: int) -> Columns:
     Rejects what a column could not hold as given: a non-integer id, label
     or true_label (an int64 column would truncate 0.5 to 0), a true_label
     of -1 (which the column reads as absent), a quality flag with no code
-    and a feature vector of the wrong shape. Value ranges are left to
-    `Dataset.validate`.
+    and a feature vector of the wrong shape, one pass a field (the loop only
+    words the first bad record's error); then, as `_OutOfRange`, a value
+    int64 cannot hold. Value ranges are left to `Dataset.validate`.
     """
-    for sid, features, label, true_label, flag in records:
+    ids, rows, labels, true_labels, flags = zip(*records) if records else [()] * 5
+    passed = (set(map(type, ids + labels)) <= {int} and -1 not in true_labels
+              and set(map(type, true_labels)) <= {int, type(None)}
+              and set(map(type, flags)) <= {str, type(None)} and set(flags) <= set(QUALITY_CODES)
+              and set(map(attrgetter("shape"), rows)) <= {(dim,)})
+    for sid, features, label, true_label, flag in () if passed else records:
         if not _is_int(sid):
             raise ValidationError(f"sample id {sid!r} is not an integer")
         if not _is_int(label):
@@ -107,16 +121,19 @@ def _columns(records: list[tuple], dim: int) -> Columns:
             raise ValidationError(f"sample {sid}: unknown quality_flag {flag!r}")
         if features.shape != (dim,):
             raise ValidationError(f"sample {sid}: feature dim {features.shape} != ({dim},)")
-    ids, features, labels, true_labels, flags = zip(*records) if records else [()] * 5
     try:
         return Columns(
             np.array(ids, dtype=np.int64),
-            np.stack(features, dtype=np.float64) if records else np.zeros((0, dim)),
+            np.stack(rows, dtype=np.float64) if records else np.zeros((0, dim)),
             np.array(labels, dtype=np.int64),
             np.array([-1 if t is None else t for t in true_labels], dtype=np.int64),
             np.array([QUALITY_CODES[q] for q in flags], dtype=np.int8),
         )
     except (OverflowError, ValueError) as e:  # e.g. 2**63, or a dim too big for numpy
+        for i, (sid, _, label, true_label, _) in enumerate(records):
+            for field, value in (("id", sid), ("label", label), ("true_label", true_label)):
+                if value is not None and not -(2**63) <= value < 2**63:
+                    raise _OutOfRange(i, field) from e
         raise ValidationError(f"sample id, label or dim out of range: {e}") from e
 
 
@@ -229,8 +246,8 @@ class Dataset:
 
     def subset(self, keep_ids: Iterable[int]) -> "Dataset":
         """The samples whose id is in `keep_ids`, in this dataset's order."""
-        keep = np.isin(self.id_array, np.fromiter(keep_ids, dtype=np.int64))
-        return self._take(np.flatnonzero(keep))
+        ids = keep_ids if isinstance(keep_ids, np.ndarray) else np.fromiter(keep_ids, np.int64)
+        return self._take(np.flatnonzero(np.isin(self.id_array, ids)))
 
     def with_labels(self, new_labels: dict[int, int]) -> "Dataset":
         """New dataset with the given sample labels replaced."""
@@ -258,30 +275,25 @@ class Dataset:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    lines = [
-        json.dumps(
-            {
-                "format": "sciu-dataset",
-                "n_classes": dataset.n_classes,
-                "dim": dataset.dim,
-            },
-            separators=(",", ":"),
-        )
-    ]
-    for sid, row, label, true_label, flag in dataset._records():
-        feats = ",".join(format(v, ".17g") for v in row)
-        parts = [f'"id":{sid}', f'"features":[{feats}]', f'"label":{label}']
-        if true_label is not None:
-            parts.append(f'"true_label":{true_label}')
-        if flag is not None:
-            parts.append(f'"quality_flag":"{flag}"')
-        lines.append("{" + ",".join(parts) + "}")
+    """Write `dataset` to `path`. Pinned: the bytes. A compact header, one record a
+    sample in order, fields in `Sample` order, oracle fields where present, each
+    feature as `format(v, ".17g")` writes it (one `%` a record gives that text)."""
+    header = {"format": "sciu-dataset", "n_classes": dataset.n_classes, "dim": dataset.dim}
+    lines, row = [json.dumps(header, separators=(",", ":"))], ",".join(["%.17g"] * dataset.dim)
+    for sid, features, label, true_label, flag in dataset._records():
+        true_label = "" if true_label is None else f',"true_label":{true_label}'
+        flag = "" if flag is None else f',"quality_flag":"{flag}"'
+        lines.append(f'{{"id":{sid},"features":[{row % tuple(features)}],"label":{label}'
+                     f"{true_label}{flag}}}")
     with open(path, "w") as f:
-        f.write("\n".join(lines))
-        f.write("\n")
+        f.write("\n".join(lines) + "\n")
 
 
 def load_dataset(path) -> Dataset:
+    """The validated dataset at `path`. Pinned: which error comes first. A `ParseError`
+    naming `<path>:<line>` for the header, then line by line for bad JSON, a non-object,
+    non-number features or a missing field; then `_columns`' (int64's as a `ParseError`
+    naming its line); then `validate`'s."""
     try:
         with open(path) as f:
             raw_lines = f.read().splitlines()
@@ -307,9 +319,14 @@ def load_dataset(path) -> Dataset:
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
-        except (ValueError, RecursionError) as e:
-            raise ParseError(f"{path}:{lineno}: malformed record: {e}") from e
+            rec, end = _scan(line, 0)  # what json.loads returns when it fills the line
+        except (StopIteration, ValueError, RecursionError):
+            end = None
+        if end != len(line):  # json.loads itself: its value, or the error it words
+            try:
+                rec = json.loads(line)
+            except (ValueError, RecursionError) as e:
+                raise ParseError(f"{path}:{lineno}: malformed record: {e}") from e
         if not isinstance(rec, dict):
             raise ParseError(f"{path}:{lineno}: record is not an object")
         try:
@@ -323,7 +340,12 @@ def load_dataset(path) -> Dataset:
         except (TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"{path}:{lineno}: features are not numbers: {e}") from e
     n_classes, dim = header["n_classes"], header["dim"]
-    return Dataset.from_columns(*_columns(records, dim), n_classes=n_classes, dim=dim)
+    try:
+        columns = _columns(records, dim)
+    except _OutOfRange as e:
+        line = [i for i, text in enumerate(raw_lines, 1) if text.strip()][1 + e.index]
+        raise ParseError(f"{path}:{line}: {e.field} out of the int64 range") from e
+    return Dataset.from_columns(*columns, n_classes=n_classes, dim=dim)
 
 
 def stratified_split(

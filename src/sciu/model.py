@@ -107,7 +107,7 @@ def init_model(
             wb_out=layer(1, hidden_dim, zero_bias=True),
         )
     except (ValueError, MemoryError) as e:  # a layer numpy cannot allocate
-        raise ConfigurationError(f"cannot build a model of {n_classes} classes: {e}") from e
+        raise ConfigurationError(f"cannot build a model of {n_classes!r:.80} classes: {e}") from e
 
 
 def _linear(x: np.ndarray, layer: LinearLayer) -> np.ndarray:

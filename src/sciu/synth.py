@@ -54,49 +54,47 @@ class SynthConfig:
 
 
 def generate(config: SynthConfig) -> Dataset:
+    """The dataset of `config`. Pinned: the draws, in order: `means`, then per sample an
+    intensity, a roll, a mislabel's neutral roll or class, and its noise row. A clean row
+    is `means[c] * intensity + noise`, a low-quality one the noise itself."""
     config.validate()
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5711]))
-
-    n = config.n_classes * config.per_class
+    lo, hi, k = config.intensity_low, config.intensity_high, config.n_classes
+    n = k * config.per_class
     try:
-        means = rng.standard_normal((config.n_classes, config.dim))
+        means = rng.standard_normal((k, config.dim))
         # Low-quality corruption replaces the structured signal with isotropic
         # noise at the signal's own amplitude: same energy, zero class signal.
-        mean_intensity_sq = (config.intensity_low**2
-                             + config.intensity_low * config.intensity_high
-                             + config.intensity_high**2) / 3.0
-        global_std = np.sqrt(mean_intensity_sq + config.cluster_spread**2)
+        global_std = np.sqrt((lo**2 + lo * hi + hi**2) / 3.0 + config.cluster_spread**2)
         features = np.empty((n, config.dim))
-        labels = np.empty(n, dtype=np.int64)
-        true_labels = np.repeat(np.arange(config.n_classes, dtype=np.int64), config.per_class)
-        quality = np.full(n, QUALITY_CODES[QUALITY_CLEAN], dtype=np.int8)
+        true_labels = np.repeat(np.arange(k, dtype=np.int64), config.per_class)
+        means /= np.linalg.norm(means, axis=1, keepdims=True)
+        draws = []  # (intensity, low, label) of each sample, in id order
+        for i, c in enumerate(true_labels.tolist()):
+            # random() takes uniform()'s draw, without its argument handling.
+            intensity, roll, label = rng.uniform(lo, hi), rng.random(), c
+            low = roll < config.low_quality_rate
+            if not low and roll < config.low_quality_rate + config.mislabel_rate:
+                if rng.random() < config.neutral_bias_fraction and c != 0:
+                    intensity, label = lo, 0
+                else:
+                    label = int(rng.integers(k - 1))
+                    label += label >= c  # any class but c
+            features[i] = rng.normal(0.0, global_std if low else config.cluster_spread, config.dim)
+            draws.append((intensity, low, label))
+        intensities, lows, labels = (np.array(column) for column in zip(*draws))
+        # The signal goes on the clean rows after the noise, one class's rows at a time:
+        # IEEE addition commutes, and a low-quality row keeps its noise (and any -0.0).
+        for rows, mean, scale, low in zip(features.reshape(k, -1, config.dim), means,
+                                          intensities.reshape(k, -1), lows.reshape(k, -1)):
+            np.add(rows, np.multiply.outer(scale, mean), out=rows, where=~low[:, None])
+        quality = np.where(lows, QUALITY_CODES[QUALITY_LOW],
+                           QUALITY_CODES[QUALITY_CLEAN]).astype(np.int8)
     except (MemoryError, OverflowError, ValueError) as e:  # sizes or intensities too big
         raise ValidationError(
             f"cannot generate {n} samples of dim {config.dim}, intensity_high "
-            f"{config.intensity_high} and cluster_spread {config.cluster_spread}: {e}") from e
-    means /= np.linalg.norm(means, axis=1, keepdims=True)
-    for i, c in enumerate(true_labels.tolist()):
-        intensity = rng.uniform(config.intensity_low, config.intensity_high)
-        roll = rng.uniform()
-        label = c
-        if roll < config.low_quality_rate:
-            features[i] = rng.normal(0.0, global_std, config.dim)
-            quality[i] = QUALITY_CODES[QUALITY_LOW]
-        else:
-            if roll < config.low_quality_rate + config.mislabel_rate:
-                neutral = rng.uniform() < config.neutral_bias_fraction and c != 0
-                if neutral:
-                    intensity = config.intensity_low
-                    label = 0
-                else:
-                    label = int(rng.integers(config.n_classes - 1))
-                    if label >= c:
-                        label += 1
-            features[i] = means[c] * intensity + rng.normal(
-                0.0, config.cluster_spread, config.dim
-            )
-        labels[i] = label
+            f"{hi} and cluster_spread {config.cluster_spread}: {e}") from e
     return Dataset.from_columns(
         np.arange(n, dtype=np.int64), features, labels, true_labels, quality,
-        n_classes=config.n_classes, dim=config.dim,
+        n_classes=k, dim=config.dim,
     )

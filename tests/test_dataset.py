@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sciu
 from sciu.dataset import (
@@ -235,18 +235,59 @@ class TestLoadErrors:
         assert load_dataset(path).features_matrix().tolist() == [[1.0, -2.0]]
 
     def test_absurd_n_classes_exits_2_without_traceback(self, tmp_path):
+        for n_classes, n in [("1180591620717411303424", 20), ("1" + "0" * 4000, 8)]:
+            path = tmp_path / "d.jsonl"
+            records = "".join(
+                f'{{"id":{i},"features":[{i}.5],"label":{i % 2}}}\n' for i in range(n)
+            )
+            path.write_text(
+                '{"format":"sciu-dataset","n_classes":' + n_classes + ',"dim":1}\n' + records
+            )
+            code, err = run_cli("run", "--dataset", str(path), "--mode", "baseline",
+                                "--out-dir", str(tmp_path / "run"))
+            assert code == 2
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+            assert len(err) < 300  # the class count is cut, not echoed in full
+
+    @pytest.mark.parametrize("field", ["id", "label", "true_label"])
+    def test_value_int64_cannot_hold_exits_2_naming_the_line(self, tmp_path, field):
+        # JSON parses a 4,001-digit integer, but no int64 column holds it.
+        record = {"id": 5, "features": [1.0, 0.0], "label": 0, "true_label": 1}
         path = tmp_path / "d.jsonl"
-        records = "".join(
-            f'{{"id":{i},"features":[{i}.5],"label":{i % 2}}}\n' for i in range(20)
-        )
-        path.write_text(
-            '{"format":"sciu-dataset","n_classes":1180591620717411303424,"dim":1}\n' + records
-        )
-        code, err = run_cli("run", "--dataset", str(path), "--mode", "baseline",
-                            "--out-dir", str(tmp_path / "run"))
+        path.write_text(HEADER + RECORD + "\n" + json.dumps(record).replace(
+            f'"{field}": {record[field]}', f'"{field}": {"9" * 4001}') + "\n" + RECORD)
+        code, err = run_cli("run", "--dataset", str(path), "--mode", "baseline")
         assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert err == f"error: {path}:4: {field} out of the int64 range\n"
+
+    def test_value_int64_cannot_hold_after_type_errors(self, tmp_path):
+        # The per-record type checks still come first, as they did.
+        path = tmp_path / "d.jsonl"
+        path.write_text(HEADER + '{"id":' + str(2**63) + ',"features":[1.0,0.0],"label":0}\n'
+                        + '{"id":1,"features":[1.0,0.0],"label":0.5}\n')
+        with pytest.raises(ValidationError, match="sample 1: label 0.5 is not an integer"):
+            load_dataset(path)
+        path.write_text(HEADER + '{"id":1,"features":[1.0,0.0],"label":0}\n'
+                        + '{"id":' + str(-(2**63) - 1) + ',"features":[1.0,0.0],"label":0}\n')
+        with pytest.raises(ParseError, match=r":3: id out of the int64 range$"):
+            load_dataset(path)
+        with pytest.raises(ValidationError, match="record 0: label out of the int64 range"):
+            Dataset([Sample(0, np.zeros(2), label=2**64)], n_classes=2, dim=2)
+
+    def test_unknown_quality_flag_names_the_sample(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(HEADER + RECORD + '{"id":7,"features":[1.0,0.0],"label":0,'
+                        '"quality_flag":"dirty"}\n')
+        with pytest.raises(ValidationError, match="sample 7: unknown quality_flag 'dirty'"):
+            load_dataset(path)
+
+    def test_two_faults_name_the_first_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(HEADER + RECORD + '{"id":1,"features":[1.0,"x"],"label":0}\n' + RECORD
+                        + '{"id":3,"features":[1.0,0.0]}\n')
+        with pytest.raises(ParseError, match=":3: features are not numbers"):
+            load_dataset(path)
 
     def test_builds_no_sample(self, tmp_path, monkeypatch):
         path = tmp_path / "d.jsonl"
@@ -430,6 +471,14 @@ class TestGathers:
         with pytest.raises(ValidationError):
             one.with_labels({99: 1})
 
+    def test_subset_takes_any_iterable_of_ids(self):
+        ds = self._dataset(2)
+        keep = ds.ids[3:20:2]
+        want = ds.subset(keep)
+        for ids in (set(keep), iter(keep), np.array(keep), np.array(keep[::-1], dtype=np.int32)):
+            assert_same_columns(ds.subset(ids), want)
+        assert ds.subset([]).ids == [] and ds.subset(np.array([], dtype=np.int64)).ids == []
+
     def test_gathers_do_not_validate(self, monkeypatch):
         ds = self._dataset(0)
         calls = []
@@ -467,7 +516,8 @@ def reference_save(dataset):
     return "\n".join(lines) + "\n"
 
 
-EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308])
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308,
+                               -1e308, 1.7976931348623157e308, 0.1, 1e16, 3.0])
 
 
 @st.composite
@@ -497,6 +547,8 @@ def scratch_dir(tmp_path_factory):
 
 @settings(max_examples=150, deadline=None)
 @given(dataset=datasets())
+@example(dataset=Dataset([Sample(i, np.array([v]), 0, quality_flag="clean") for i, v in enumerate(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e16, 3.0])], 1, 1))
 def test_save_matches_per_sample_writer(scratch_dir, dataset):
     path = scratch_dir / "d.jsonl"
     save_dataset(dataset, path)
@@ -548,3 +600,85 @@ def test_any_file_loads_or_raises_sciu_error(scratch_dir, header, records):
         load_dataset(path)
     except SciuError:
         pass
+
+
+def reference_load(path, n_classes, dim):
+    """`load_dataset`'s records read one at a time, each record's features
+    through `np.asarray` and each record checked by itself; the header is
+    taken as valid."""
+    records = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines()[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except (ValueError, RecursionError) as e:
+            raise ParseError(f"{path}:{lineno}: malformed record: {e}") from e
+        if not isinstance(rec, dict):
+            raise ParseError(f"{path}:{lineno}: record is not an object")
+        try:
+            features = np.asarray(rec["features"])
+            if features.dtype.kind not in "iuf":
+                raise ValueError(repr(rec["features"])[:80])
+            records.append((lineno, rec["id"], features, rec["label"], rec.get("true_label"),
+                            rec.get("quality_flag")))
+        except KeyError as e:
+            raise ParseError(f"{path}:{lineno}: missing field {e}") from e
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ParseError(f"{path}:{lineno}: features are not numbers: {e}") from e
+    is_int = lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool)  # noqa: E731
+    for _, sid, features, label, true_label, flag in records:
+        if not is_int(sid):
+            raise ValidationError(f"sample id {sid!r} is not an integer")
+        if not is_int(label):
+            raise ValidationError(f"sample {sid}: label {label!r} is not an integer")
+        if true_label is not None and not (is_int(true_label) and true_label != -1):
+            raise ValidationError(f"sample {sid}: true_label {true_label!r} is not a class index")
+        if not isinstance(flag, (str, type(None))) or flag not in ("clean", "low_quality", None):
+            raise ValidationError(f"sample {sid}: unknown quality_flag {flag!r}")
+        if features.shape != (dim,):
+            raise ValidationError(f"sample {sid}: feature dim {features.shape} != ({dim},)")
+    for lineno, sid, _, label, true_label, _ in records:
+        for field, value in (("id", sid), ("label", label), ("true_label", true_label)):
+            if value is not None and not -(2**63) <= value < 2**63:
+                raise ParseError(f"{path}:{lineno}: {field} out of the int64 range")
+    codes = {None: -1, "clean": 0, "low_quality": 1}
+    return Dataset.from_columns(
+        np.array([r[1] for r in records], dtype=np.int64),
+        np.stack([r[2] for r in records], dtype=np.float64) if records else np.zeros((0, dim)),
+        np.array([r[3] for r in records], dtype=np.int64),
+        np.array([-1 if r[4] is None else r[4] for r in records], dtype=np.int64),
+        np.array([codes[r[5]] for r in records], dtype=np.int8),
+        n_classes=n_classes, dim=dim)
+
+
+def outcome(load, *args):
+    """The columns' bytes and dtypes a load gives, or its error's type and text."""
+    try:
+        return [(c.dtype.str, c.shape, c.tobytes()) for c in load(*args)._cols]
+    except SciuError as e:
+        return type(e), str(e)
+
+
+RECORD_LINES = st.one_of(
+    RECORDS.map(json.dumps),
+    st.sampled_from(["", "  ", "{oops", "[" * 5, '{"id": 1.0e400}', '{"id": 0} {}', "{} x",
+                     ' {"id":0,"features":[],"label":0}', '{"id":1,"features":[],"label":0}\t',
+                     '\ufeff{"id":2,"features":[],"label":0}', '{"id":3,"features":[NaN],"label":0}']),
+    st.fixed_dictionaries({"id": st.integers(0, 9), "label": st.integers(0, 2),
+                           "features": st.lists(st.floats(), min_size=2, max_size=2)},
+                          optional={"true_label": st.integers(-1, 2),
+                                    "quality_flag": st.sampled_from(
+                                        ["clean", "low_quality", "dirty", None, 0, []])},
+                          ).map(json.dumps),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_classes=st.integers(1, 3), dim=st.integers(0, 3),
+       lines=st.lists(RECORD_LINES, max_size=5))
+def test_load_matches_per_record_reference(scratch_dir, n_classes, dim, lines):
+    path = scratch_dir / "ref.jsonl"
+    header = {"format": "sciu-dataset", "n_classes": n_classes, "dim": dim}
+    path.write_text("".join(line + "\n" for line in [json.dumps(header), *lines]))
+    assert outcome(load_dataset, path) == outcome(reference_load, path, n_classes, dim)

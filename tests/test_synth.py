@@ -122,11 +122,13 @@ def reference_generate(config):
 
 
 @pytest.mark.parametrize("overrides", [
-    {}, {"mislabel_rate": 0.0}, {"low_quality_rate": 0.0},
-    {"neutral_bias_fraction": 0.0}, {"neutral_bias_fraction": 1.0},
-], ids=["default", "no-mislabel", "no-low-quality", "no-neutral", "all-neutral"])
+    {}, {"mislabel_rate": 0.0}, {"low_quality_rate": 0.0}, {"low_quality_rate": 0.5},
+    {"neutral_bias_fraction": 0.0}, {"neutral_bias_fraction": 1.0}, {"n_classes": 2},
+    {"dim": 1}, {"seed": 0}, {"seed": 1},
+], ids=["default", "no-mislabel", "no-low-quality", "half-low-quality", "no-neutral",
+        "all-neutral", "2-classes", "dim-1", "seed-0", "seed-1"])
 def test_columns_match_per_sample_reference(overrides):
-    config = SynthConfig(seed=5, **overrides)
+    config = SynthConfig(**{"seed": 5, **overrides})
     got, want = generate(config), reference_generate(config)
     assert (got.n_classes, got.dim) == (want.n_classes, want.dim)
     for a, b in [(got.id_array, want.id_array), (got.labels(), want.labels()),

@@ -6,7 +6,8 @@ Runs the sciu in this checkout's `src/` and prints one `<sha256>  <name>`
 line per output:
 
 - the two default synthetic datasets (seeds 0 and 1), as `save_dataset`
-  writes them;
+  writes them, then as `save_dataset` writes them again after
+  `load_dataset` reads them back (the round trip must keep every byte);
 - the `report_to_json` text of every (dataset seed 0/1, mode, pipeline seed
   0-4) run on those datasets after `load_dataset` reads them back: 40
   reports;
@@ -53,6 +54,10 @@ def main() -> None:
             save_dataset(generate(SynthConfig(seed=ds_seed)), path)
             print(f"{sha(path.read_bytes())}  dataset seed={ds_seed}", flush=True)
             datasets[ds_seed] = load_dataset(path)
+            again = Path(tmp) / f"again{ds_seed}.jsonl"
+            save_dataset(datasets[ds_seed], again)
+            print(f"{sha(again.read_bytes())}  dataset seed={ds_seed} saved after load",
+                  flush=True)
     for ds_seed, dataset in datasets.items():
         for mode in MODES:
             for seed in PIPELINE_SEEDS:
