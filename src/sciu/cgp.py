@@ -110,4 +110,4 @@ def apply_pruning(
             )
         state.pruned_ids |= newly_pruned
         pruned[pos[drop]] = True
-    return dataset.subset(ids[~pruned]), newly_pruned
+    return dataset._take(np.flatnonzero(~pruned)), newly_pruned

@@ -1,4 +1,9 @@
-"""Sample and dataset representation plus line-delimited file I/O.
+"""Datasets as validated columns, plus line-delimited file I/O.
+
+A `Dataset` is built one way: from its `Columns` (ids, features, labels and
+the two oracle columns), validated once. `synth.generate` builds them as
+arrays, `load_dataset` from a file's records; `Sample` is only the row
+type of `Dataset.samples`.
 
 A dataset file is line-delimited JSON. The first line is a header
 {"format": "sciu-dataset", "n_classes": K, "dim": d}; every following line
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -33,6 +38,7 @@ QUALITY_CODES = {None: -1, QUALITY_CLEAN: 0, QUALITY_LOW: 1}
 
 @dataclass(frozen=True)
 class Sample:
+    """One row of `Dataset.samples`, with None for an absent oracle field."""
     id: int
     features: np.ndarray
     label: int
@@ -73,16 +79,14 @@ class Columns(NamedTuple):
 
 _DTYPES = Columns(np.int64, np.float64, np.int64, np.int64, np.int8)
 _QUALITY_NAMES = {code: name for name, code in QUALITY_CODES.items()}
-# The raw (id, features, label, true_label, quality_flag) record of a Sample.
-_record = attrgetter(*(f.name for f in fields(Sample)))
 _scan = json.JSONDecoder().scan_once  # json.loads' scanner: same settings, no wrappers
 
 
 class _OutOfRange(ValidationError):
     """A record's id, label or true_label that int64 cannot hold."""
     def __init__(self, index: int, field: str):
-        super().__init__(f"record {index}: {field} out of the int64 range")
-        self.index, self.field = index, field
+        super().__init__(f"{field} out of the int64 range")
+        self.index = index
 
 
 def _is_int(value) -> bool:
@@ -95,8 +99,8 @@ def _readonly(array: np.ndarray) -> np.ndarray:
 
 
 def _columns(records: list[tuple], dim: int) -> Columns:
-    """The columns of raw (id, features, label, true_label, quality_flag)
-    records, with None for an absent oracle field.
+    """The columns of the raw (id, features, label, true_label, quality_flag)
+    records that `load_dataset` reads, with None for an absent oracle field.
 
     Rejects what a column could not hold as given: a non-integer id, label
     or true_label (an int64 column would truncate 0.5 to 0), a true_label
@@ -142,28 +146,19 @@ class Dataset:
     labels (n,) and the two oracle columns (-1 where a sample has no oracle
     value).
 
-    Built from `Sample`s, from a file or from columns (`from_columns`) and
-    validated once; `subset`, `with_labels` and `stratified_split` gather
-    from columns that are already valid. The accessors return the columns
-    without copying.
+    Built one way: from numpy `Columns`, given in order or by name, which it
+    takes over, makes read-only and validates once. `subset`, `with_labels`
+    and `stratified_split` gather from columns that are already valid. The
+    accessors return the columns without copying.
     """
 
-    def __init__(self, samples: Iterable[Sample], n_classes: int, dim: int):
-        self._set(n_classes, dim, _columns([_record(s) for s in samples], dim))
-        self.validate()
-
-    @classmethod
-    def from_columns(cls, *columns, n_classes: int, dim: int, **named) -> "Dataset":
-        """A dataset that takes over (and makes read-only) ready `Columns`,
-        given in order or by name. Validated as `Sample`-built ones are."""
+    def __init__(self, *columns: np.ndarray, n_classes: int, dim: int, **named: np.ndarray):
         given = Columns(*columns, **named)
         loose = [name for name, c in given._asdict().items() if not isinstance(c, np.ndarray)]
         if loose:
             raise ValidationError(f"columns not given as numpy arrays: {', '.join(loose)}")
-        out = object.__new__(cls)
-        out._set(n_classes, dim, given)
-        out.validate()
-        return out
+        self._set(n_classes, dim, given)
+        self.validate()
 
     def _set(self, n_classes: int, dim: int, columns: Columns) -> None:
         self.n_classes, self.dim = n_classes, dim
@@ -344,8 +339,8 @@ def load_dataset(path) -> Dataset:
         columns = _columns(records, dim)
     except _OutOfRange as e:
         line = [i for i, text in enumerate(raw_lines, 1) if text.strip()][1 + e.index]
-        raise ParseError(f"{path}:{line}: {e.field} out of the int64 range") from e
-    return Dataset.from_columns(*columns, n_classes=n_classes, dim=dim)
+        raise ParseError(f"{path}:{line}: {e}") from e
+    return Dataset(*columns, n_classes=n_classes, dim=dim)
 
 
 def stratified_split(

@@ -132,15 +132,13 @@ def finite_difference_gradient(
     grads = []
     for p in params:
         g = np.zeros_like(p)
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + h
+        for i in np.ndindex(p.shape):  # p itself: reshape(-1) may copy a view
+            orig = p[i]
+            p[i] = orig + h
             lp = loss_fn()
-            flat_p[i] = orig - h
+            p[i] = orig - h
             lm = loss_fn()
-            flat_p[i] = orig
-            flat_g[i] = (lp - lm) / (2.0 * h)
+            p[i] = orig
+            g[i] = (lp - lm) / (2.0 * h)
         grads.append(g)
     return grads

@@ -94,7 +94,5 @@ def generate(config: SynthConfig) -> Dataset:
         raise ValidationError(
             f"cannot generate {n} samples of dim {config.dim}, intensity_high "
             f"{hi} and cluster_spread {config.cluster_spread}: {e}") from e
-    return Dataset.from_columns(
-        np.arange(n, dtype=np.int64), features, labels, true_labels, quality,
-        n_classes=k, dim=config.dim,
-    )
+    return Dataset(np.arange(n, dtype=np.int64), features, labels, true_labels, quality,
+                   n_classes=k, dim=config.dim)

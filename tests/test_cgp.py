@@ -9,16 +9,16 @@ from sciu.cgp import (
     record_score,
     trailing_mean,
 )
-from sciu.dataset import Dataset, Sample
+from sciu.dataset import Dataset
 from sciu.errors import ConfigurationError, LogicError, ValidationError
 
 
 def toy_dataset(n=5):
-    return Dataset(
-        [Sample(i, np.array([float(i), 0.0]), 0) for i in range(n)],
-        n_classes=2,
-        dim=2,
-    )
+    features = np.zeros((n, 2))
+    features[:, 0] = np.arange(n)
+    return Dataset(np.arange(n, dtype=np.int64), features, np.zeros(n, dtype=np.int64),
+                   np.full(n, -1, dtype=np.int64), np.full(n, -1, dtype=np.int8),
+                   n_classes=2, dim=2)
 
 
 class TestScoreHistory:

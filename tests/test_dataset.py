@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import sciu
 from sciu.dataset import (
+    QUALITY_CODES,
     CorrectionEvent,
     Dataset,
     Sample,
@@ -21,18 +22,35 @@ from sciu.dataset import (
 from sciu.errors import ParseError, SciuError, ValidationError
 
 
-def make_samples(n, n_classes=3, dim=4, seed=0):
-    rng = np.random.default_rng(seed)
-    return [
-        Sample(
-            id=i,
-            features=rng.standard_normal(dim),
-            label=int(i % n_classes),
-            true_label=int(i % n_classes),
-            quality_flag="clean",
-        )
-        for i in range(n)
-    ]
+def columns(n=3, dim=2, **changed):
+    """The columns of n samples with zero features, label 0 and no oracle
+    values, with the `changed` ones replaced."""
+    return {"ids": np.arange(n, dtype=np.int64), "features": np.zeros((n, dim)),
+            "labels": np.zeros(n, dtype=np.int64),
+            "true_labels": np.full(n, -1, dtype=np.int64),
+            "quality": np.full(n, -1, dtype=np.int8), **changed}
+
+
+def make_dataset(n, n_classes=3, dim=4, seed=0):
+    """n clean samples with random features, labelled i % n_classes."""
+    labels = np.arange(n, dtype=np.int64) % n_classes
+    return Dataset(**columns(n, dim, features=np.random.default_rng(seed).standard_normal((n, dim)),
+                             labels=labels, true_labels=labels.copy(),
+                             quality=np.zeros(n, dtype=np.int8)),
+                   n_classes=n_classes, dim=dim)
+
+
+def from_rows(rows, n_classes, dim):
+    """A dataset built from `Sample` rows one row at a time: the reference
+    for the gathers, which never look at rows."""
+    n = len(rows)
+    return Dataset(
+        np.array([s.id for s in rows], dtype=np.int64),
+        np.array([s.features for s in rows], dtype=np.float64).reshape(n, dim),
+        np.array([s.label for s in rows], dtype=np.int64),
+        np.array([-1 if s.true_label is None else s.true_label for s in rows], dtype=np.int64),
+        np.array([QUALITY_CODES[s.quality_flag] for s in rows], dtype=np.int8),
+        n_classes=n_classes, dim=dim)
 
 
 class TestDataset:
@@ -49,20 +67,19 @@ class TestDataset:
         assert ds.ids == [0, 1, 2]
 
     def test_label_out_of_range_names_id(self):
-        with pytest.raises(ValidationError, match="7"):
-            Dataset([Sample(7, np.zeros(2), label=2)], n_classes=2, dim=2)
+        with pytest.raises(ValidationError, match="sample 7: label 2"):
+            Dataset(**columns(1, ids=np.array([7]), labels=np.array([2])), n_classes=2, dim=2)
 
     def test_duplicate_id(self):
-        s = make_samples(2)
-        with pytest.raises(ValidationError, match="duplicate"):
-            Dataset([s[0], s[0]], n_classes=3, dim=4)
+        with pytest.raises(ValidationError, match="duplicate sample id 4"):
+            Dataset(**columns(2, ids=np.array([4, 4])), n_classes=3, dim=2)
 
     def test_wrong_dim(self):
         with pytest.raises(ValidationError):
-            Dataset([Sample(0, np.zeros(3), 0)], n_classes=2, dim=2)
+            Dataset(**columns(1, dim=3), n_classes=2, dim=2)
 
     def test_round_trip(self, tmp_path):
-        ds = Dataset(make_samples(10), n_classes=3, dim=4)
+        ds = make_dataset(10)
         path = tmp_path / "d.jsonl"
         save_dataset(ds, path)
         back = load_dataset(path)
@@ -74,25 +91,23 @@ class TestDataset:
             np.testing.assert_array_equal(a.features, b.features)
 
     def test_save_load_save_byte_identical(self, tmp_path):
-        ds = Dataset(make_samples(20), n_classes=3, dim=4)
+        ds = make_dataset(20)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         save_dataset(ds, p1)
         save_dataset(load_dataset(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_empty_dataset_header_only(self, tmp_path):
-        ds = Dataset([], n_classes=2, dim=2)
+        ds = Dataset(**columns(0), n_classes=2, dim=2)
         path = tmp_path / "e.jsonl"
         save_dataset(ds, path)
         assert path.read_text().count("\n") == 1
         assert len(load_dataset(path)) == 0
 
     def test_optional_fields_serialized(self, tmp_path):
-        ds = Dataset(
-            [Sample(0, np.zeros(2), 1, true_label=0, quality_flag="low_quality")],
-            n_classes=2,
-            dim=2,
-        )
+        ds = Dataset(**columns(1, labels=np.array([1]), true_labels=np.array([0]),
+                               quality=np.array([QUALITY_CODES["low_quality"]], dtype=np.int8)),
+                     n_classes=2, dim=2)
         path = tmp_path / "d.jsonl"
         save_dataset(ds, path)
         text = path.read_text()
@@ -113,7 +128,7 @@ class TestDataset:
             load_dataset(path)
 
     def test_subset_and_with_labels(self):
-        ds = Dataset(make_samples(6), n_classes=3, dim=4)
+        ds = make_dataset(6)
         sub = ds.subset([1, 3])
         assert sub.ids == [1, 3]
         relabeled = ds.with_labels({0: 2})
@@ -121,7 +136,7 @@ class TestDataset:
         assert ds.samples[0].label == 0  # original untouched
 
     def test_without_oracle_fields(self):
-        ds = Dataset(make_samples(3), n_classes=3, dim=4)
+        ds = make_dataset(3)
         stripped = ds.without_oracle_fields()
         assert all(s.true_label is None for s in stripped.samples)
         assert all(s.quality_flag is None for s in stripped.samples)
@@ -144,14 +159,11 @@ class TestCorrectionEvent:
 
 class TestStratifiedSplit:
     def _dataset(self, per_class=100, n_classes=3):
-        samples = []
-        rng = np.random.default_rng(1)
-        i = 0
-        for c in range(n_classes):
-            for _ in range(per_class):
-                samples.append(Sample(i, rng.standard_normal(2), c))
-                i += 1
-        return Dataset(samples, n_classes=n_classes, dim=2)
+        n = per_class * n_classes
+        features = np.random.default_rng(1).standard_normal((n, 2))
+        labels = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
+        return Dataset(**columns(n, features=features, labels=labels),
+                       n_classes=n_classes, dim=2)
 
     def test_80_20_counts(self):
         ds = self._dataset()
@@ -272,8 +284,9 @@ class TestLoadErrors:
                         + '{"id":' + str(-(2**63) - 1) + ',"features":[1.0,0.0],"label":0}\n')
         with pytest.raises(ParseError, match=r":3: id out of the int64 range$"):
             load_dataset(path)
-        with pytest.raises(ValidationError, match="record 0: label out of the int64 range"):
-            Dataset([Sample(0, np.zeros(2), label=2**64)], n_classes=2, dim=2)
+        path.write_text(HEADER + '{"id":0,"features":[1.0,0.0],"label":' + str(2**64) + "}\n")
+        with pytest.raises(ParseError, match=r":2: label out of the int64 range$"):
+            load_dataset(path)
 
     def test_unknown_quality_flag_names_the_sample(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -291,7 +304,7 @@ class TestLoadErrors:
 
     def test_builds_no_sample(self, tmp_path, monkeypatch):
         path = tmp_path / "d.jsonl"
-        save_dataset(Dataset(make_samples(6), n_classes=3, dim=4), path)
+        save_dataset(make_dataset(6), path)
 
         def refuse(self):
             raise AssertionError("load_dataset built a Sample")
@@ -343,29 +356,29 @@ class TestLoadErrors:
 
 class TestIntegerFields:
     @pytest.mark.parametrize(
-        "sample",
+        "fields,error",
         [
-            Sample(0, np.zeros(2), label=0.5),
-            Sample(0, np.zeros(2), label=1.0),
-            Sample(0, np.zeros(2), label=True),
-            Sample(0.5, np.zeros(2), label=0),
-            Sample(0, np.zeros(2), label=0, true_label=0.5),
-            Sample(0, np.zeros(2), label=0, true_label=-1),
+            ('"id":0,"label":0.5', "sample 0: label 0.5 is not an integer"),
+            ('"id":0,"label":1.0', "sample 0: label 1.0 is not an integer"),
+            ('"id":0,"label":true', "sample 0: label True is not an integer"),
+            ('"id":0.5,"label":0', "sample id 0.5 is not an integer"),
+            ('"id":0,"label":0,"true_label":0.5', "sample 0: true_label 0.5 is not a class index"),
+            ('"id":0,"label":0,"true_label":-1', "sample 0: true_label -1 is not a class index"),
         ],
         ids=["label-half", "label-float", "label-bool", "id-half", "true-half",
              "true-negative"],
     )
-    def test_rejected(self, sample):
-        with pytest.raises(ValidationError):
-            Dataset([sample], n_classes=2, dim=2)
+    def test_rejected(self, tmp_path, fields, error):
+        # An int64 column would truncate 0.5 to 0, and reads -1 as absent.
+        path = tmp_path / "d.jsonl"
+        path.write_text(HEADER + '{"features":[0.0,0.0],' + fields + "}\n")
+        with pytest.raises(ValidationError, match=f"^{error}$"):
+            load_dataset(path)
 
     def test_numpy_integers_accepted(self):
-        ds = Dataset(
-            [Sample(np.int64(3), np.zeros(2), np.int32(1), true_label=np.int64(0))],
-            n_classes=2, dim=2,
-        )
-        assert ds.ids == [3] and ds.labels().tolist() == [1]
-        assert ds.oracle_columns()[0].tolist() == [0]
+        ds = Dataset(**columns(1, ids=np.array([3])), n_classes=2, dim=2)
+        relabeled = ds.with_labels({np.int64(3): np.int32(1)})
+        assert relabeled.ids == [3] and relabeled.labels().tolist() == [1]
 
     def test_float_label_in_file(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -375,24 +388,21 @@ class TestIntegerFields:
 
 
 class TestFromColumns:
-    @staticmethod
-    def columns(n=3, dim=2):
-        return {"ids": np.arange(n, dtype=np.int64), "features": np.zeros((n, dim)),
-                "labels": np.zeros(n, dtype=np.int64),
-                "true_labels": np.full(n, -1, dtype=np.int64),
-                "quality": np.full(n, -1, dtype=np.int8)}
+    """The one constructor: columns in order or by name, validated once."""
 
     def test_matches_dataset_from_samples(self):
-        samples = make_samples(5)
-        columns = {
-            "ids": np.arange(5, dtype=np.int64),
-            "features": np.stack([s.features for s in samples]),
-            "labels": np.array([s.label for s in samples], dtype=np.int64),
-            "true_labels": np.array([s.true_label for s in samples], dtype=np.int64),
-            "quality": np.zeros(5, dtype=np.int8),
-        }
-        assert_same_columns(Dataset.from_columns(**columns, n_classes=3, dim=4),
-                            Dataset(samples, n_classes=3, dim=4))
+        # The rows of a dataset are the samples its columns were made from,
+        # whether the columns are given in order or by name.
+        rng = np.random.default_rng(0)
+        samples = [Sample(i, rng.standard_normal(4), i % 3, true_label=(i + 1) % 3 if i else None,
+                          quality_flag=[None, "clean", "low_quality"][i % 3]) for i in range(5)]
+        by_name = from_rows(samples, n_classes=3, dim=4)
+        in_order = Dataset(*by_name._cols, n_classes=3, dim=4)
+        assert_same_columns(in_order, by_name)
+        for got, want in zip(in_order.samples, samples):
+            assert (got.id, got.label, got.true_label, got.quality_flag) == \
+                (want.id, want.label, want.true_label, want.quality_flag)
+            assert got.features.tobytes() == want.features.tobytes()
 
     @pytest.mark.parametrize("name,value", [
         ("ids", np.arange(3.0)), ("ids", np.zeros(3, dtype=np.int64)),
@@ -406,7 +416,7 @@ class TestFromColumns:
     ])
     def test_rejected(self, name, value):
         with pytest.raises(ValidationError):
-            Dataset.from_columns(**{**self.columns(), name: value}, n_classes=2, dim=2)
+            Dataset(**{**columns(), name: value}, n_classes=2, dim=2)
 
 
 def assert_same_columns(a, b):
@@ -424,23 +434,18 @@ class TestGathers:
 
     def _dataset(self, seed):
         rng = np.random.default_rng(seed)
-        ids = rng.permutation(200)[:40]
-        return Dataset(
-            [
-                Sample(int(i), rng.standard_normal(3), int(rng.integers(4)),
-                       true_label=int(rng.integers(4)) if rng.uniform() < 0.7 else None,
-                       quality_flag=["clean", "low_quality", None][int(rng.integers(3))])
-                for i in ids
-            ],
-            n_classes=4, dim=3,
-        )
+        true_labels = rng.integers(4, size=40)
+        return Dataset(rng.permutation(200)[:40].astype(np.int64), rng.standard_normal((40, 3)),
+                       rng.integers(4, size=40).astype(np.int64),
+                       np.where(rng.uniform(size=40) < 0.7, true_labels, -1).astype(np.int64),
+                       rng.integers(-1, 2, size=40).astype(np.int8), n_classes=4, dim=3)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_subset_matches_fresh_dataset(self, seed):
         ds = self._dataset(seed)
         rng = np.random.default_rng(100 + seed)
         keep = set(rng.choice(ds.ids, size=15, replace=False).tolist())
-        fresh = Dataset([s for s in ds.samples if s.id in keep], 4, 3)
+        fresh = from_rows([s for s in ds.samples if s.id in keep], 4, 3)
         assert_same_columns(ds.subset(keep), fresh)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -448,9 +453,7 @@ class TestGathers:
         ds = self._dataset(seed)
         rng = np.random.default_rng(200 + seed)
         new = {int(i): int(rng.integers(4)) for i in rng.choice(ds.ids, size=10)}
-        fresh = Dataset(
-            [replace(s, label=new.get(s.id, s.label)) for s in ds.samples], 4, 3
-        )
+        fresh = from_rows([replace(s, label=new.get(s.id, s.label)) for s in ds.samples], 4, 3)
         before = ds.labels().copy()
         assert_same_columns(ds.with_labels(new), fresh)
         np.testing.assert_array_equal(ds.labels(), before)
@@ -467,7 +470,7 @@ class TestGathers:
         missing = max(ds.ids) + 1
         with pytest.raises(ValidationError, match=str(missing)):
             ds.with_labels({ds.ids[0]: 1, missing: 1})
-        one = Dataset([Sample(0, np.zeros(1), 0)], 2, 1)
+        one = Dataset(**columns(1, dim=1), n_classes=2, dim=1)
         with pytest.raises(ValidationError):
             one.with_labels({99: 1})
 
@@ -524,18 +527,18 @@ EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e
 def datasets(draw):
     n_classes, dim = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     ids = draw(st.lists(st.integers(-(2**63), 2**63 - 1), unique=True, max_size=6))
+    n = len(ids)
     feature = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+
+    def column(values, dtype, size=n):
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=dtype)
+
     return Dataset(
-        [
-            Sample(
-                i,
-                np.array(draw(st.lists(feature, min_size=dim, max_size=dim))),
-                draw(st.integers(0, n_classes - 1)),
-                true_label=draw(st.none() | st.integers(0, n_classes - 1)),
-                quality_flag=draw(st.sampled_from([None, "clean", "low_quality"])),
-            )
-            for i in ids
-        ],
+        np.array(ids, dtype=np.int64),
+        column(feature, np.float64, n * dim).reshape(n, dim),
+        column(st.integers(0, n_classes - 1), np.int64),
+        column(st.integers(-1, n_classes - 1), np.int64),  # -1: no true label
+        column(st.sampled_from(list(QUALITY_CODES.values())), np.int8),
         n_classes=n_classes, dim=dim,
     )
 
@@ -547,8 +550,9 @@ def scratch_dir(tmp_path_factory):
 
 @settings(max_examples=150, deadline=None)
 @given(dataset=datasets())
-@example(dataset=Dataset([Sample(i, np.array([v]), 0, quality_flag="clean") for i, v in enumerate(
-    [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e16, 3.0])], 1, 1))
+@example(dataset=Dataset(**columns(7, 1, features=np.array(
+    [[-0.0], [5e-324], [2.2250738585072014e-308], [1.7976931348623157e308], [0.1], [1e16], [3.0]]),
+    quality=np.zeros(7, dtype=np.int8)), n_classes=1, dim=1))
 def test_save_matches_per_sample_writer(scratch_dir, dataset):
     path = scratch_dir / "d.jsonl"
     save_dataset(dataset, path)
@@ -643,7 +647,7 @@ def reference_load(path, n_classes, dim):
             if value is not None and not -(2**63) <= value < 2**63:
                 raise ParseError(f"{path}:{lineno}: {field} out of the int64 range")
     codes = {None: -1, "clean": 0, "low_quality": 1}
-    return Dataset.from_columns(
+    return Dataset(
         np.array([r[1] for r in records], dtype=np.int64),
         np.stack([r[2] for r in records], dtype=np.float64) if records else np.zeros((0, dim)),
         np.array([r[3] for r in records], dtype=np.int64),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sciu.dataset import Dataset, Sample
+from sciu.dataset import Dataset
 from sciu.errors import ConfigurationError, LogicError, ValidationError
 from sciu.fgc import (
     CorrectionState,
@@ -15,11 +15,10 @@ from sciu.fgc import (
 
 
 def toy_dataset(labels):
-    return Dataset(
-        [Sample(i, np.array([float(i)]), lab) for i, lab in enumerate(labels)],
-        n_classes=4,
-        dim=1,
-    )
+    n = len(labels)
+    return Dataset(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.float64)[:, None],
+                   np.array(labels, dtype=np.int64), np.full(n, -1, dtype=np.int64),
+                   np.full(n, -1, dtype=np.int8), n_classes=4, dim=1)
 
 
 def first_entry(state, sample_id):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sciu.dataset import CorrectionEvent, Dataset, Sample
+from sciu.dataset import QUALITY_CODES, CorrectionEvent, Dataset
 from sciu.errors import EvaluationError
 from sciu.metrics import (
     ConfusionMatrix,
@@ -92,11 +92,18 @@ class TestFromPredictions:
 
 def oracle_dataset(flags_and_truth):
     """flags_and_truth: list of (quality_flag, true_label, label)."""
-    samples = [
-        Sample(i, np.zeros(1), label=lab, true_label=t, quality_flag=f)
-        for i, (f, t, lab) in enumerate(flags_and_truth)
-    ]
-    return Dataset(samples, n_classes=3, dim=1)
+    flags, true_labels, labels = zip(*flags_and_truth)
+    return Dataset(np.arange(len(labels), dtype=np.int64), np.zeros((len(labels), 1)),
+                   np.array(labels, dtype=np.int64), np.array(true_labels, dtype=np.int64),
+                   np.array([QUALITY_CODES[f] for f in flags], dtype=np.int8),
+                   n_classes=3, dim=1)
+
+
+def no_oracle_dataset(n_classes):
+    """One sample without oracle values."""
+    return Dataset(np.zeros(1, dtype=np.int64), np.zeros((1, 1)), np.zeros(1, dtype=np.int64),
+                   np.full(1, -1, dtype=np.int64), np.full(1, -1, dtype=np.int8),
+                   n_classes=n_classes, dim=1)
 
 
 class TestPruningQuality:
@@ -125,7 +132,7 @@ class TestPruningQuality:
         assert abs(q["precision"] - base) < 0.03
 
     def test_requires_oracle(self):
-        ds = Dataset([Sample(0, np.zeros(1), 0)], n_classes=2, dim=1)
+        ds = no_oracle_dataset(n_classes=2)
         with pytest.raises(EvaluationError):
             pruning_quality({0}, ds)
 
@@ -151,6 +158,6 @@ class TestCorrectionQuality:
         assert q["harmful_rate"] == pytest.approx(0.5)
 
     def test_requires_oracle(self):
-        ds = Dataset([Sample(0, np.zeros(1), 0)], n_classes=3, dim=1)
+        ds = no_oracle_dataset(n_classes=3)
         with pytest.raises(EvaluationError):
             correction_quality([CorrectionEvent(0, 0, 1, 0)], ds)

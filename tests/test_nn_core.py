@@ -164,3 +164,12 @@ class TestFiniteDifference:
         x = [np.array([1.0, 2.0])]
         finite_difference_gradient(lambda: float(np.sum(x[0] ** 2)), x)
         np.testing.assert_allclose(x[0], [1.0, 2.0])
+
+    def test_strided_view(self):
+        # reshape(-1) copies this view, so the entries must be perturbed
+        # through the view itself for the perturbation to reach `block`.
+        block = np.arange(15.0).reshape(3, 5)
+        w = block[:, :-1]
+        grad = finite_difference_gradient(lambda: float(np.sum(block**2)), [w])
+        np.testing.assert_allclose(grad[0], 2 * w, rtol=1e-6)
+        np.testing.assert_array_equal(block, np.arange(15.0).reshape(3, 5))

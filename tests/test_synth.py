@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sciu.dataset import QUALITY_CLEAN, QUALITY_LOW, Dataset, Sample, save_dataset
+from sciu.dataset import QUALITY_CLEAN, QUALITY_CODES, QUALITY_LOW, Dataset, save_dataset
 from sciu.errors import ValidationError
 from sciu.synth import SynthConfig, generate
 from sciu.trainer import TrainConfig, train_stage
@@ -91,22 +91,21 @@ class TestGenerate:
 
 
 def reference_generate(config):
-    """`generate` written one `Sample` at a time: the same draws from the
+    """`generate` written one sample at a time: the same draws from the
     same generator, in the same order."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5711]))
     means = rng.standard_normal((config.n_classes, config.dim))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
     lo, hi = config.intensity_low, config.intensity_high
     global_std = np.sqrt((lo**2 + lo * hi + hi**2) / 3.0 + config.cluster_spread**2)
-    samples = []
+    rows = []  # (features, label, true_label, quality_flag) of each sample, in id order
     for c in range(config.n_classes):
         for _ in range(config.per_class):
             intensity = rng.uniform(lo, hi)
             roll = rng.uniform()
-            sid = len(samples)
             if roll < config.low_quality_rate:
                 feats = rng.normal(0.0, global_std, config.dim)
-                samples.append(Sample(sid, feats, c, c, QUALITY_LOW))
+                rows.append((feats, c, c, QUALITY_LOW))
                 continue
             label = c
             if roll < config.low_quality_rate + config.mislabel_rate:
@@ -117,8 +116,12 @@ def reference_generate(config):
                     if label >= c:
                         label += 1
             feats = means[c] * intensity + rng.normal(0.0, config.cluster_spread, config.dim)
-            samples.append(Sample(sid, feats, label, c, QUALITY_CLEAN))
-    return Dataset(samples, n_classes=config.n_classes, dim=config.dim)
+            rows.append((feats, label, c, QUALITY_CLEAN))
+    features, labels, true_labels, flags = zip(*rows)
+    return Dataset(np.arange(len(rows), dtype=np.int64), np.array(features),
+                   np.array(labels, dtype=np.int64), np.array(true_labels, dtype=np.int64),
+                   np.array([QUALITY_CODES[f] for f in flags], dtype=np.int8),
+                   n_classes=config.n_classes, dim=config.dim)
 
 
 @pytest.mark.parametrize("overrides", [

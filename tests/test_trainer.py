@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sciu.dataset import QUALITY_LOW, Dataset, Sample
+from sciu.dataset import QUALITY_LOW, Dataset
 from sciu.errors import ConfigurationError, DegenerateRunError, NumericError
 from sciu.metrics import pruning_quality
 from sciu.synth import SynthConfig, generate
@@ -11,14 +11,17 @@ from sciu import trainer
 from sciu.trainer import TrainConfig, evaluate, train_stage
 
 
+def toy_dataset(features, labels):
+    n = len(labels)
+    return Dataset(np.arange(n, dtype=np.int64), features, labels,
+                   np.full(n, -1, dtype=np.int64), np.full(n, -1, dtype=np.int8),
+                   n_classes=2, dim=2)
+
+
 def two_class_toy(n_per_class=40, seed=0):
-    rng = np.random.default_rng(seed)
-    samples = []
-    for i in range(2 * n_per_class):
-        c = i % 2
-        center = np.array([3.0, 0.0]) if c == 0 else np.array([-3.0, 0.0])
-        samples.append(Sample(i, center + rng.normal(0, 0.3, 2), c))
-    return Dataset(samples, n_classes=2, dim=2)
+    labels = np.arange(2 * n_per_class, dtype=np.int64) % 2
+    centers = np.where(labels[:, None] == 0, [3.0, 0.0], [-3.0, 0.0])
+    return toy_dataset(centers + np.random.default_rng(seed).normal(0, 0.3, centers.shape), labels)
 
 
 def small_config(**overrides):
@@ -90,7 +93,8 @@ class TestPlainStage:
 
     def test_empty_dataset(self):
         with pytest.raises(DegenerateRunError):
-            train_stage(Dataset([], 2, 2), small_config(), "plain")
+            train_stage(toy_dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64)),
+                        small_config(), "plain")
 
     def test_test_metrics_recorded(self):
         ds = two_class_toy()

@@ -18,7 +18,7 @@ from sciu.cgp import (
     record_score,
     trailing_mean,
 )
-from sciu.dataset import Dataset, Sample
+from sciu.dataset import Dataset
 from sciu.errors import LogicError, ValidationError
 from sciu.fgc import (
     CorrectionState,
@@ -33,11 +33,10 @@ N_IDS = 12
 
 
 def dataset(n_classes, labels):
-    return Dataset(
-        [Sample(i, np.array([float(i)]), lab) for i, lab in enumerate(labels)],
-        n_classes=n_classes,
-        dim=1,
-    )
+    n = len(labels)
+    return Dataset(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.float64)[:, None],
+                   np.array(labels, dtype=np.int64), np.full(n, -1, dtype=np.int64),
+                   np.full(n, -1, dtype=np.int8), n_classes=n_classes, dim=1)
 
 
 def count(windows, sample_id):
