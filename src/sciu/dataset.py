@@ -8,8 +8,8 @@ type of `Dataset.samples`.
 A dataset file is line-delimited JSON. The first line is a header
 {"format": "sciu-dataset", "n_classes": K, "dim": d}; every following line
 is one sample record {"id", "features", "label", "true_label"?,
-"quality_flag"?}. Floats are written with 17 significant digits so that
-save -> load -> save is byte-stable.
+"quality_flag"?}. Floats are written with 17 significant digits, and a
+negative zero as -0.0, so that save -> load -> save is byte-stable.
 
 `true_label` and `quality_flag` are oracle fields for evaluation only.
 Training code must never read them; they are only reachable through
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import asdict, dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -147,8 +148,9 @@ class Dataset:
     value).
 
     Built one way: from numpy `Columns`, given in order or by name, which it
-    takes over, makes read-only and validates once. `subset`, `with_labels`
-    and `stratified_split` gather from columns that are already valid. The
+    takes over, makes read-only and validates once. `subset` and
+    `stratified_split` gather from columns that are already valid, and
+    `with_labels` range-checks only the labels it writes, by position. The
     accessors return the columns without copying.
     """
 
@@ -244,20 +246,18 @@ class Dataset:
         ids = keep_ids if isinstance(keep_ids, np.ndarray) else np.fromiter(keep_ids, np.int64)
         return self._take(np.flatnonzero(np.isin(self.id_array, ids)))
 
-    def with_labels(self, new_labels: dict[int, int]) -> "Dataset":
-        """New dataset with the given sample labels replaced."""
-        for sid, lab in new_labels.items():
-            if not (_is_int(lab) and 0 <= lab < self.n_classes):
-                raise ValidationError(
-                    f"sample {sid}: label {lab!r} out of range [0, {self.n_classes})"
-                )
-        hit = np.flatnonzero(np.isin(self.id_array, list(new_labels)))
-        if len(hit) != len(new_labels):
-            unknown = sorted(set(new_labels).difference(self.ids))
-            raise ValidationError(f"sample ids {unknown} are not in the dataset")
-        labels = self._cols.labels.copy()
-        labels[hit] = [new_labels[i] for i in self.id_array[hit].tolist()]
-        return self._derive(labels=labels)
+    def with_labels(self, rows: np.ndarray, labels: np.ndarray) -> "Dataset":
+        """New dataset with the labels at positions `rows` replaced by
+        `labels`, whole numbers in [0, n_classes)."""
+        labels = np.asarray(labels)
+        bad = (labels < 0) | (labels >= self.n_classes) | (labels % 1 != 0)
+        if bad.any():
+            i = bad.argmax()
+            raise ValidationError(f"sample {self.id_array[rows][i]}: label {labels[i]} "
+                                  f"out of range [0, {self.n_classes})")
+        new = self._cols.labels.copy()
+        new[rows] = labels
+        return self._derive(labels=new)
 
     def without_oracle_fields(self) -> "Dataset":
         absent = np.full(len(self), -1, dtype=np.int64)
@@ -272,7 +272,8 @@ class Dataset:
 def save_dataset(dataset: Dataset, path) -> None:
     """Write `dataset` to `path`. Pinned: the bytes. A compact header, one record a
     sample in order, fields in `Sample` order, oracle fields where present, each
-    feature as `format(v, ".17g")` writes it (one `%` a record gives that text)."""
+    feature as `format(v, ".17g")` writes it (one `%` a record gives that text),
+    but a negative zero as -0.0: JSON reads that "-0" as the integer 0."""
     header = {"format": "sciu-dataset", "n_classes": dataset.n_classes, "dim": dataset.dim}
     lines, row = [json.dumps(header, separators=(",", ":"))], ",".join(["%.17g"] * dataset.dim)
     for sid, features, label, true_label, flag in dataset._records():
@@ -280,6 +281,9 @@ def save_dataset(dataset: Dataset, path) -> None:
         flag = "" if flag is None else f',"quality_flag":"{flag}"'
         lines.append(f'{{"id":{sid},"features":[{row % tuple(features)}],"label":{label}'
                      f"{true_label}{flag}}}")
+    features = dataset.features_matrix()
+    for i in np.flatnonzero((np.signbit(features) & (features == 0)).any(axis=1)).tolist():
+        lines[1 + i] = re.sub(r"(?<=[\[,])-0(?=[,\]])", "-0.0", lines[1 + i])
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -288,7 +292,8 @@ def load_dataset(path) -> Dataset:
     """The validated dataset at `path`. Pinned: which error comes first. A `ParseError`
     naming `<path>:<line>` for the header, then line by line for bad JSON, a non-object,
     non-number features or a missing field; then `_columns`' (int64's as a `ParseError`
-    naming its line); then `validate`'s."""
+    naming its line); then `validate`'s. A feature written as -0 (older saves wrote
+    a negative zero so) loads as +0.0."""
     try:
         with open(path) as f:
             raw_lines = f.read().splitlines()

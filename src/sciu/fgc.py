@@ -12,9 +12,9 @@ so at least t further epochs must pass before they can be corrected again.
 `correction_decision` state the rule for one sample; `apply_corrections`
 applies it to every sample at once, from the (n, t) prediction windows of a
 `CorrectionState`. `record_prediction` checks its arguments when called but
-only buffers a copy of the probability row; before `apply_corrections`
-reads the windows, the epoch's rows are stacked and their argmax, p_pred
-and p_gt written as one column each.
+only buffers a copy of the probability row, n_classes entries long; before
+`apply_corrections` reads the windows, the epoch's rows are stacked and
+their argmax, p_pred and p_gt written as one column each.
 
 τ enters only through the decisions: each `apply_corrections` narrows
 `CorrectionState.tau_range` to the [lo, hi) of τ′ that decide alike, `lo`
@@ -80,12 +80,13 @@ def correction_decision(history: PredictionHistory, tau: float) -> bool:
 
 @dataclass
 class CorrectionState:
-    """Correction state of one stage; `windows` holds each recorded
-    sample's last t predicted labels, their probabilities and the
-    probabilities of the annotated label (see `sciu.window`)."""
+    """Correction state of one stage over `n_classes` classes; `windows`
+    holds each recorded sample's last t predicted labels, their probabilities
+    and those of the annotated label (see `sciu.window`)."""
 
     tau: float
     window: int
+    n_classes: int
     corrections: list[CorrectionEvent] = field(default_factory=list)
     tau_range: tuple[float, float] = (-np.inf, np.inf)  # the τ that decide alike
     windows: RingWindows = field(init=False, repr=False)
@@ -118,15 +119,16 @@ def record_prediction(
     gt_label: int,
     epoch: int,
 ) -> None:
-    """Store argmax label (ties -> lowest index), its probability, and the
-    probability of the current annotated label."""
+    """Store a row of `state.n_classes` probabilities as its argmax label
+    (ties -> lowest index), that label's probability and the annotated one's."""
     probs = np.asarray(probs, float)
-    if not 0 <= gt_label < len(probs):
-        raise ValidationError(
-            f"sample {sample_id}: label {gt_label} outside [0, {len(probs)})"
-        )
+    k = state.n_classes
+    if probs.shape != (k,):
+        raise ValidationError(f"sample {sample_id}: probs shape {probs.shape} != ({k},)")
+    if not 0 <= gt_label < k:
+        raise ValidationError(f"sample {sample_id}: label {gt_label} outside [0, {k})")
     # The row is kept as bytes, a copy that later edits of `probs` miss.
-    state.windows.add(sample_id, (probs.tobytes(), gt_label), len(probs))
+    state.windows.add(sample_id, (probs.tobytes(), gt_label))
 
 
 def apply_corrections(
@@ -147,16 +149,9 @@ def apply_corrections(
     lo, hi = state.tau_range  # once NaN, lo stays NaN
     state.tau_range = (float(gap[stable & ~accept].max(initial=lo)),
                        float(gap[accept].min(initial=hi)))
-    events = [
-        CorrectionEvent(sid, old, new, epoch)
-        for sid, old, new in zip(
-            dataset.id_array[pos[accept]].tolist(),
-            dataset.labels()[pos[accept]].tolist(),
-            preds[accept, 0].tolist(),
-        )
-    ]
+    at, new = pos[accept], preds[accept, 0]
+    events = [CorrectionEvent(*event, epoch) for event in zip(
+        dataset.id_array[at].tolist(), dataset.labels()[at].tolist(), new.tolist())]
     w.clear(rows[accept])
     state.corrections.extend(events)
-    if not events:
-        return dataset, events
-    return dataset.with_labels({e.sample_id: e.new_label for e in events}), events
+    return (dataset.with_labels(at, new) if events else dataset), events

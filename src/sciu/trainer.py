@@ -204,7 +204,7 @@ def train_stage(
     prune_state = cgp_mod.PruneState(
         lam=config.lam, window=config.window_t, warmup_epochs=config.warmup_epochs
     )
-    corr_state = fgc_mod.CorrectionState(tau=config.tau, window=config.window_t)
+    corr_state = fgc_mod.CorrectionState(config.tau, config.window_t, dataset.n_classes)
 
     # The evaluation outputs a post-warm-up epoch decides on; the train
     # metrics read the probs.

@@ -7,8 +7,8 @@ the number of entries since then, so a row holds a full window once its
 count reaches t, with its oldest entry at column count % t.
 
 `add` only buffers one sample's record. Before any read, `flush` turns the
-buffered records into one column per buffer and `push` writes each column
-with one whole-array write.
+buffered records, all of one layout, into one column per buffer and `push`
+writes each column with one whole-array write.
 """
 
 from __future__ import annotations
@@ -31,14 +31,12 @@ class RingWindows:
         self._order = np.zeros(0, dtype=np.int64)  # argsort of row_ids
         self._columns = columns
         self._pending: dict = {}  # sample id -> record, in call order
-        self._width = None
 
-    def add(self, sample_id: int, record, width=None) -> None:
-        """Buffer one entry; a pending id, or a `width` other than the pending
-        records', flushes first, so entries land in call order."""
-        if sample_id in self._pending or width != self._width:
+    def add(self, sample_id: int, record) -> None:
+        """Buffer one entry; a pending id flushes first, so entries land in
+        call order."""
+        if sample_id in self._pending:
             self.flush()
-            self._width = width
         self._pending[sample_id] = record
 
     def flush(self) -> None:

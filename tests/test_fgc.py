@@ -44,28 +44,39 @@ def history(entries, window):
 
 class TestRecordPrediction:
     def test_argmax_entry(self):
-        state = CorrectionState(tau=0.2, window=3)
+        state = CorrectionState(tau=0.2, window=3, n_classes=2)
         record_prediction(state, 0, np.array([0.1, 0.9]), gt_label=0, epoch=0)
         assert first_entry(state, 0) == (1, pytest.approx(0.9), pytest.approx(0.1))
 
     def test_gt_is_argmax(self):
-        state = CorrectionState(tau=0.2, window=3)
+        state = CorrectionState(tau=0.2, window=3, n_classes=2)
         record_prediction(state, 0, np.array([0.7, 0.3]), gt_label=0, epoch=0)
         y, p_pred, p_gt = first_entry(state, 0)
         assert y == 0 and p_pred == p_gt
 
     def test_tie_takes_lowest_index(self):
-        state = CorrectionState(tau=0.2, window=3)
+        state = CorrectionState(tau=0.2, window=3, n_classes=3)
         record_prediction(state, 0, np.array([0.4, 0.4, 0.2]), gt_label=2, epoch=0)
         assert first_entry(state, 0)[0] == 0
 
     @pytest.mark.parametrize("gt_label", [-1, 3])
     def test_label_outside_row_rejected(self, gt_label):
         # -1 used to record probs[-1] as the annotated-label probability.
-        state = CorrectionState(tau=0.2, window=1)
+        state = CorrectionState(tau=0.2, window=1, n_classes=3)
         with pytest.raises(ValidationError):
             record_prediction(state, 0, np.array([0.1, 0.2, 0.7]), gt_label, epoch=0)
         assert recorded(state, 0) == 0
+
+    @pytest.mark.parametrize("probs", [np.full(4, 0.25), np.full(6, 1 / 6), np.full((1, 5), 0.2),
+                                       np.array(1.0)])
+    def test_row_not_of_the_stage_class_count_rejected(self, probs):
+        # A 4-wide row in a 5-class stage used to be buffered as its own group.
+        state = CorrectionState(tau=0.2, window=1, n_classes=5)
+        record_prediction(state, 1, np.full(5, 0.2), 0, epoch=0)
+        with pytest.raises(ValidationError, match=r"^sample 0: probs shape .* != \(5,\)$"):
+            record_prediction(state, 0, probs, 0, epoch=0)
+        assert list(state.windows._pending) == [1]
+        assert recorded(state, 0) == 0 and recorded(state, 1) == 1
 
 
 class TestLabelStable:
@@ -120,13 +131,13 @@ class TestCorrectionDecision:
 
     def test_bad_tau(self):
         with pytest.raises(ConfigurationError):
-            CorrectionState(tau=0.0, window=3)
+            CorrectionState(tau=0.0, window=3, n_classes=4)
 
 
 class TestApplyCorrections:
     def test_nothing_accepted(self):
         ds = toy_dataset([0, 1])
-        state = CorrectionState(tau=0.2, window=2)
+        state = CorrectionState(tau=0.2, window=2, n_classes=4)
         for epoch in range(2):
             for s in ds.samples:
                 probs = np.zeros(4)
@@ -138,7 +149,7 @@ class TestApplyCorrections:
 
     def test_accepted_event_fields(self):
         ds = toy_dataset([0])
-        state = CorrectionState(tau=0.2, window=2)
+        state = CorrectionState(tau=0.2, window=2, n_classes=4)
         probs = np.array([0.05, 0.0, 0.0, 0.95])
         for epoch in range(2):
             record_prediction(state, 0, probs, 0, epoch)
@@ -150,7 +161,7 @@ class TestApplyCorrections:
 
     def test_cardinality_preserved(self):
         ds = toy_dataset([0, 1, 2, 3, 0])
-        state = CorrectionState(tau=0.1, window=2)
+        state = CorrectionState(tau=0.1, window=2, n_classes=4)
         rng = np.random.default_rng(3)
         for epoch in range(2):
             for s in ds.samples:
@@ -161,7 +172,7 @@ class TestApplyCorrections:
 
     def test_history_cleared_after_correction(self):
         ds = toy_dataset([0])
-        state = CorrectionState(tau=0.2, window=2)
+        state = CorrectionState(tau=0.2, window=2, n_classes=4)
         probs = np.array([0.05, 0.0, 0.0, 0.95])
         for epoch in range(2):
             record_prediction(state, 0, probs, 0, epoch)
@@ -176,7 +187,7 @@ class TestApplyCorrections:
         """lo: the largest gap of a stable, rejected sample; hi: the
         smallest gap of an accepted one; unstable samples do not count."""
         ds = toy_dataset([0, 0, 0, 0])
-        state = CorrectionState(tau=0.2, window=2)
+        state = CorrectionState(tau=0.2, window=2, n_classes=4)
         rows = {0: [0.45, 0.55, 0, 0], 1: [0.2, 0.8, 0, 0], 2: [0.1, 0.9, 0, 0]}
         for epoch in range(2):
             for sid, row in rows.items():
@@ -194,7 +205,7 @@ class TestApplyCorrections:
 
     def test_nan_gap_leaves_no_tau_in_range(self):
         ds = toy_dataset([0, 0])
-        state = CorrectionState(tau=0.2, window=2)
+        state = CorrectionState(tau=0.2, window=2, n_classes=4)
         for epoch in range(2):
             record_prediction(state, 0, np.array([np.nan, 0.0, 0.0, 0.0]), 0, epoch)
             record_prediction(state, 1, np.array([0.1, 0.9, 0.0, 0.0]), 0, epoch)
@@ -233,7 +244,7 @@ class TestArrayCorrectionsMatchScalarRule:
 
     def _run(self, rng, tau, window, labels, epochs, probs_of):
         ds = toy_dataset(labels)
-        state = CorrectionState(tau=tau, window=window)
+        state = CorrectionState(tau=tau, window=window, n_classes=4)
         refs = {i: PredictionHistory(i, window) for i in ds.ids}
         current = dict(zip(ds.ids, labels))
         active = ds

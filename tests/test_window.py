@@ -85,13 +85,13 @@ def test_pruning_interleavings_match_score_history(seed):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_correction_interleavings_match_prediction_history(seed):
-    # Rows come in two lengths (5 and 4 classes), some are overwritten by
-    # the caller after they are recorded, and ids repeat between decisions.
+    # Some rows are overwritten by the caller after they are recorded, and
+    # ids repeat between decisions.
     rng = np.random.default_rng(seed)
     tau, window = float(rng.uniform(0.05, 0.4)), int(rng.integers(1, 4))
     favourite = rng.integers(0, 5, N_IDS)
     ds = dataset(5, rng.integers(0, 4, N_IDS).tolist())
-    state = CorrectionState(tau=tau, window=window)
+    state = CorrectionState(tau=tau, window=window, n_classes=5)
     refs = {i: PredictionHistory(i, window) for i in ds.ids}
     current = dict(zip(ds.ids, ds.labels().tolist()))
     active, epoch = ds, 0
@@ -99,9 +99,8 @@ def test_correction_interleavings_match_prediction_history(seed):
         op = rng.uniform()
         if op < 0.8:
             i = int(rng.integers(N_IDS))
-            width = 5 if current[i] == 4 or rng.uniform() < 0.5 else 4
-            alpha = np.full(width, 0.3)
-            alpha[min(favourite[i], width - 1)] = 5.0
+            alpha = np.full(5, 0.3)
+            alpha[favourite[i]] = 5.0
             row = rng.dirichlet(alpha)
             y = int(np.argmax(row))
             refs[i].record(y, float(row[y]), float(row[current[i]]))
@@ -126,7 +125,7 @@ def test_correction_interleavings_match_prediction_history(seed):
 
 
 def test_recorded_row_is_copied():
-    state = CorrectionState(tau=0.2, window=1)
+    state = CorrectionState(tau=0.2, window=1, n_classes=2)
     row = np.array([0.1, 0.9])
     record_prediction(state, 0, row, 0, epoch=0)
     row[:] = [0.9, 0.1]
@@ -138,7 +137,7 @@ def test_checks_run_at_call_time():
     prune = PruneState(lam=0.5, window=2, warmup_epochs=0)
     with pytest.raises(ValidationError):
         record_score(prune, 0, 1.0, 0.5, 0)
-    correct = CorrectionState(tau=0.2, window=2)
+    correct = CorrectionState(tau=0.2, window=2, n_classes=2)
     with pytest.raises(ValidationError):
         record_prediction(correct, 0, np.array([0.5, 0.5]), 2, 0)
     assert count(prune.windows, 0) == count(correct.windows, 0) == 0

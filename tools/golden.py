@@ -15,7 +15,11 @@ line per output:
   sciu mode on dataset seed 0, then the `report_to_json` text of each of
   its 4 cells, caught at `pipeline.run_pipeline` as the sweep calls it (a
   stage the sweep shares between cells must leave every cell's report as
-  an unshared run writes it).
+  an unshared run writes it);
+- last, a small 10-class dataset (`TEN_CLASSES`) as the first item prints
+  it, then its `report_to_json` text in every mode for pipeline seeds 0
+  and 1: 8 reports. numpy sums a row of 8 or more classes pairwise, so a
+  change that keeps every 7-class digest can still change these.
 
 Run it on two commits and diff the output. The digests depend on the numpy
 build and the CPU's BLAS kernels, which may differ in the last bit between
@@ -40,30 +44,38 @@ from sciu.synth import SynthConfig, generate  # noqa: E402
 
 DATASET_SEEDS = (0, 1)
 PIPELINE_SEEDS = range(5)
+TEN_CLASSES = SynthConfig(n_classes=10, dim=5, per_class=60, seed=2)
 
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main() -> None:
+def round_trip(config: SynthConfig, name: str):
+    """Print the digest of `config`'s dataset as saved, then as saved again
+    after loading it back; return the loaded dataset."""
     with tempfile.TemporaryDirectory() as tmp:
-        datasets = {}
-        for ds_seed in DATASET_SEEDS:
-            path = Path(tmp) / f"dataset{ds_seed}.jsonl"
-            save_dataset(generate(SynthConfig(seed=ds_seed)), path)
-            print(f"{sha(path.read_bytes())}  dataset seed={ds_seed}", flush=True)
-            datasets[ds_seed] = load_dataset(path)
-            again = Path(tmp) / f"again{ds_seed}.jsonl"
-            save_dataset(datasets[ds_seed], again)
-            print(f"{sha(again.read_bytes())}  dataset seed={ds_seed} saved after load",
-                  flush=True)
+        path, again = Path(tmp) / "dataset.jsonl", Path(tmp) / "again.jsonl"
+        save_dataset(generate(config), path)
+        print(f"{sha(path.read_bytes())}  dataset {name}", flush=True)
+        dataset = load_dataset(path)
+        save_dataset(dataset, again)
+        print(f"{sha(again.read_bytes())}  dataset {name} saved after load", flush=True)
+    return dataset
+
+
+def print_reports(dataset, name: str, seeds) -> None:
+    for mode in MODES:
+        for seed in seeds:
+            report = run_pipeline(PipelineConfig(seed=seed), dataset, mode)
+            print(f"{sha(report_to_json(report).encode())}  report "
+                  f"dataset={name} mode={mode} seed={seed}", flush=True)
+
+
+def main() -> None:
+    datasets = {s: round_trip(SynthConfig(seed=s), f"seed={s}") for s in DATASET_SEEDS}
     for ds_seed, dataset in datasets.items():
-        for mode in MODES:
-            for seed in PIPELINE_SEEDS:
-                report = run_pipeline(PipelineConfig(seed=seed), dataset, mode)
-                print(f"{sha(report_to_json(report).encode())}  report "
-                      f"dataset={ds_seed} mode={mode} seed={seed}", flush=True)
+        print_reports(dataset, str(ds_seed), PIPELINE_SEEDS)
     cells = []
 
     def capturing(config, *args, **kwargs):
@@ -82,6 +94,7 @@ def main() -> None:
     for config, text in cells:
         print(f"{sha(text.encode())}  sweep cell tau={config.tau} seed={config.seed} "
               f"mode=sciu dataset=0")
+    print_reports(round_trip(TEN_CLASSES, "10-class seed=2"), "10-class", range(2))
 
 
 if __name__ == "__main__":
