@@ -62,7 +62,6 @@ class PruneState:
 
     lam: float
     window: int
-    warmup_epochs: int
     pruned_ids: set[int] = field(default_factory=set)
     prune_log: list[dict] = field(default_factory=list)
     windows: RingWindows = field(init=False, repr=False)
@@ -92,22 +91,19 @@ def apply_pruning(
 ) -> tuple[Dataset, set[int]]:
     """Evaluate ready trailing means; move failing samples to pruned_ids.
 
-    Every active sample with a full window is decided at once. Returns
-    (D3 = active remainder, ids newly pruned this call). No-op for epochs
-    inside the warm-up phase.
+    Every sample with a full window and not yet pruned is decided at once;
+    ids pruned before are dropped undecided. Returns (D3 = active remainder,
+    ids newly pruned this call). `train_stage` calls it after warm-up only.
     """
     ids = dataset.id_array
     pruned = np.isin(ids, np.fromiter(state.pruned_ids, np.int64, len(state.pruned_ids)))
-    newly_pruned: set[int] = set()
-    if epoch >= state.warmup_epochs:
-        pos, rows = state.windows.full_rows(ids, exclude=pruned)
-        s_t = state.windows.mean("scores", rows)
-        drop = ~(s_t > state.lam)  # prune_decision, for every ready sample
-        for sid, mean in zip(ids[pos[drop]].tolist(), s_t[drop].tolist()):
-            newly_pruned.add(sid)
-            state.prune_log.append(
-                {"epoch": epoch, "sample_id": sid, "S_T": mean, "lambda": state.lam}
-            )
-        state.pruned_ids |= newly_pruned
-        pruned[pos[drop]] = True
-    return dataset._take(np.flatnonzero(~pruned)), newly_pruned
+    pos, rows = state.windows.full_rows(ids)
+    pos, rows = pos[~pruned[pos]], rows[~pruned[pos]]
+    s_t = state.windows.mean("scores", rows)
+    drop = ~(s_t > state.lam)  # prune_decision, for every ready sample
+    newly = ids[pos[drop]].tolist()
+    state.prune_log += [{"epoch": epoch, "sample_id": sid, "S_T": mean, "lambda": state.lam}
+                        for sid, mean in zip(newly, s_t[drop].tolist())]
+    state.pruned_ids.update(newly)
+    pruned[pos[drop]] = True
+    return dataset._take(np.flatnonzero(~pruned)), set(newly)

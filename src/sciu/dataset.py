@@ -83,13 +83,6 @@ _QUALITY_NAMES = {code: name for name, code in QUALITY_CODES.items()}
 _scan = json.JSONDecoder().scan_once  # json.loads' scanner: same settings, no wrappers
 
 
-class _OutOfRange(ValidationError):
-    """A record's id, label or true_label that int64 cannot hold."""
-    def __init__(self, index: int, field: str):
-        super().__init__(f"{field} out of the int64 range")
-        self.index = index
-
-
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
@@ -99,23 +92,24 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _columns(records: list[tuple], dim: int) -> Columns:
-    """The columns of the raw (id, features, label, true_label, quality_flag)
-    records that `load_dataset` reads, with None for an absent oracle field.
+def _columns(records: list[tuple], dim: int, path) -> Columns:
+    """The columns of the raw (line, id, features, label, true_label,
+    quality_flag) records `load_dataset` reads from `path`, with None for an
+    absent oracle field.
 
     Rejects what a column could not hold as given: a non-integer id, label
     or true_label (an int64 column would truncate 0.5 to 0), a true_label
     of -1 (which the column reads as absent), a quality flag with no code
     and a feature vector of the wrong shape, one pass a field (the loop only
-    words the first bad record's error); then, as `_OutOfRange`, a value
-    int64 cannot hold. Value ranges are left to `Dataset.validate`.
+    words the first bad record's error); then a value int64 cannot hold, as
+    a `ParseError` naming its line. Value ranges are left to `Dataset.validate`.
     """
-    ids, rows, labels, true_labels, flags = zip(*records) if records else [()] * 5
+    _, ids, rows, labels, true_labels, flags = zip(*records) if records else [()] * 6
     passed = (set(map(type, ids + labels)) <= {int} and -1 not in true_labels
               and set(map(type, true_labels)) <= {int, type(None)}
               and set(map(type, flags)) <= {str, type(None)} and set(flags) <= set(QUALITY_CODES)
               and set(map(attrgetter("shape"), rows)) <= {(dim,)})
-    for sid, features, label, true_label, flag in () if passed else records:
+    for _, sid, features, label, true_label, flag in () if passed else records:
         if not _is_int(sid):
             raise ValidationError(f"sample id {sid!r} is not an integer")
         if not _is_int(label):
@@ -135,10 +129,10 @@ def _columns(records: list[tuple], dim: int) -> Columns:
             np.array([QUALITY_CODES[q] for q in flags], dtype=np.int8),
         )
     except (OverflowError, ValueError) as e:  # e.g. 2**63, or a dim too big for numpy
-        for i, (sid, _, label, true_label, _) in enumerate(records):
+        for line, sid, _, label, true_label, _ in records:
             for field, value in (("id", sid), ("label", label), ("true_label", true_label)):
                 if value is not None and not -(2**63) <= value < 2**63:
-                    raise _OutOfRange(i, field) from e
+                    raise ParseError(f"{path}:{line}: {field} out of the int64 range") from e
         raise ValidationError(f"sample id, label or dim out of range: {e}") from e
 
 
@@ -215,8 +209,8 @@ class Dataset:
         return self.id_array.tolist()
 
     def _records(self) -> Iterator[tuple]:
-        """The raw record of each sample, as `_columns` reads it: Python
-        values, features as a list, None for an absent oracle field."""
+        """Each sample's raw record as `_columns` reads it, less the line number:
+        Python values, features as a list, None for an absent oracle field."""
         for sid, features, label, true_label, code in zip(*(c.tolist() for c in self._cols)):
             true_label = None if true_label < 0 else true_label
             yield sid, features, label, true_label, _QUALITY_NAMES[code]
@@ -291,9 +285,9 @@ def save_dataset(dataset: Dataset, path) -> None:
 def load_dataset(path) -> Dataset:
     """The validated dataset at `path`. Pinned: which error comes first. A `ParseError`
     naming `<path>:<line>` for the header, then line by line for bad JSON, a non-object,
-    non-number features or a missing field; then `_columns`' (int64's as a `ParseError`
-    naming its line); then `validate`'s. A feature written as -0 (older saves wrote
-    a negative zero so) loads as +0.0."""
+    non-number features or a missing field; then `_columns`' on the records, each with
+    its line (int64's as a `ParseError` naming it); then `validate`'s. A feature written
+    as -0 (older saves wrote a negative zero so) loads as +0.0."""
     try:
         with open(path) as f:
             raw_lines = f.read().splitlines()
@@ -333,19 +327,14 @@ def load_dataset(path) -> Dataset:
             features = np.asarray(rec["features"])
             if features.dtype.kind not in "iuf":  # "1.5" would parse as a number
                 raise ValueError(repr(rec["features"])[:80])
-            records.append((rec["id"], features, rec["label"], rec.get("true_label"),
+            records.append((lineno, rec["id"], features, rec["label"], rec.get("true_label"),
                             rec.get("quality_flag")))
         except KeyError as e:
             raise ParseError(f"{path}:{lineno}: missing field {e}") from e
         except (TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"{path}:{lineno}: features are not numbers: {e}") from e
     n_classes, dim = header["n_classes"], header["dim"]
-    try:
-        columns = _columns(records, dim)
-    except _OutOfRange as e:
-        line = [i for i, text in enumerate(raw_lines, 1) if text.strip()][1 + e.index]
-        raise ParseError(f"{path}:{line}: {e}") from e
-    return Dataset(*columns, n_classes=n_classes, dim=dim)
+    return Dataset(*_columns(records, dim, path), n_classes=n_classes, dim=dim)
 
 
 def stratified_split(

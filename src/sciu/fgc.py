@@ -119,14 +119,14 @@ def record_prediction(
     gt_label: int,
     epoch: int,
 ) -> None:
-    """Store a row of `state.n_classes` probabilities as its argmax label
-    (ties -> lowest index), that label's probability and the annotated one's."""
+    """Store a row of `state.n_classes` probabilities as its argmax label (ties ->
+    lowest index), that label's probability and that of `gt_label`, an integer."""
     probs = np.asarray(probs, float)
     k = state.n_classes
     if probs.shape != (k,):
         raise ValidationError(f"sample {sample_id}: probs shape {probs.shape} != ({k},)")
-    if not 0 <= gt_label < k:
-        raise ValidationError(f"sample {sample_id}: label {gt_label} outside [0, {k})")
+    if not ((type(gt_label) is int or isinstance(gt_label, np.integer)) and 0 <= gt_label < k):
+        raise ValidationError(f"sample {sample_id}: label {gt_label} not an integer in [0, {k})")
     # The row is kept as bytes, a copy that later edits of `probs` miss.
     state.windows.add(sample_id, (probs.tobytes(), gt_label))
 

@@ -23,7 +23,9 @@ from typing import Optional
 import numpy as np
 
 from .dataset import Dataset, load_dataset, stratified_split
-from .errors import ConfigurationError, EvaluationError, ParseError, SciuError
+from .errors import (
+    ConfigurationError, DegenerateRunError, EvaluationError, NumericError, ParseError,
+)
 from .metrics import ConfusionMatrix, correction_quality, pruning_quality, uar, war
 from .model import forward_batch
 from .trainer import STAGE_FIELDS, STAGES, StageResult, TrainConfig, train_stage
@@ -239,9 +241,10 @@ def sweep(
 ) -> dict:
     """Run the pipeline once per (value, seed) and tabulate median WAR/UAR.
 
-    Child-run failures are recorded as failure markers rather than aborting
-    the whole sweep. The cells share one `StageMemo`, kept for this call
-    only; the result's `stages` entry counts the stages computed and reused.
+    A cell that degenerates or fails numerically is recorded as a failure
+    marker; any other error (a value or seed the config rejects, say) ends
+    the sweep. The cells share one `StageMemo`, kept for this call only; the
+    result's `stages` entry counts the stages computed and reused.
     """
     if parameter not in SWEEP_PARAMS:
         raise ConfigurationError(
@@ -263,7 +266,7 @@ def sweep(
             cfg = PipelineConfig(**{**asdict(config), attr: value, "seed": seed})
             try:
                 finals.append(run_pipeline(cfg, dataset, mode, memo=memo)["final_test"])
-            except SciuError as e:
+            except (DegenerateRunError, NumericError) as e:
                 failures.append({"seed": seed, "error": str(e)})
         row = {"value": value}
         for metric in ("war", "uar", "war_true"):

@@ -33,6 +33,10 @@ def confusion_csv(counts: list[list[int]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fixed(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.4f}"
+
+
 def summary_text(report: dict) -> str:
     ft = report["final_test"]
     lines = [
@@ -44,13 +48,11 @@ def summary_text(report: dict) -> str:
     ]
     pq = report.get("pruning_quality")
     if pq is not None:
-        prec = "n/a" if pq["precision"] is None else f"{pq['precision']:.4f}"
-        rec = "n/a" if pq["recall"] is None else f"{pq['recall']:.4f}"
+        prec, rec = _fixed(pq["precision"]), _fixed(pq["recall"])
         lines.append(f"pruning precision: {prec}  recall: {rec}")
     cq = report.get("correction_quality")
     if cq is not None:
-        acc = "n/a" if cq["correction_accuracy"] is None else f"{cq['correction_accuracy']:.4f}"
-        harm = "n/a" if cq["harmful_rate"] is None else f"{cq['harmful_rate']:.4f}"
+        acc, harm = _fixed(cq["correction_accuracy"]), _fixed(cq["harmful_rate"])
         lines.append(f"correction accuracy: {acc}  harmful rate: {harm}")
     ws = report.get("weight_summary")
     if ws is not None and ws["mean_weight_pruned"] is not None:

@@ -201,9 +201,7 @@ def train_stage(
     )
     velocity = np.zeros_like(model.flat)
 
-    prune_state = cgp_mod.PruneState(
-        lam=config.lam, window=config.window_t, warmup_epochs=config.warmup_epochs
-    )
+    prune_state = cgp_mod.PruneState(config.lam, config.window_t)
     corr_state = fgc_mod.CorrectionState(config.tau, config.window_t, dataset.n_classes)
 
     # The evaluation outputs a post-warm-up epoch decides on; the train

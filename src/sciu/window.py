@@ -13,7 +13,7 @@ writes each column with one whole-array write.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -73,14 +73,9 @@ class RingWindows:
         known[known] = self.row_ids[rows[known]] == ids[known]
         return rows, known
 
-    def full_rows(
-        self, ids: np.ndarray, exclude: Optional[np.ndarray] = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(positions in `ids`, rows) of the ids that have a full window,
-        leaving out the positions where the mask `exclude` is set."""
+    def full_rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(positions in `ids`, rows) of the ids that have a full window."""
         rows, hit = self.find(ids)
-        if exclude is not None:
-            hit &= ~exclude
         hit[hit] = self.counts[rows[hit]] >= self.window
         return np.flatnonzero(hit), rows[hit]
 

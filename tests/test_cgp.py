@@ -23,7 +23,7 @@ def toy_dataset(n=5):
 
 class TestScoreHistory:
     def test_product_stored(self):
-        state = PruneState(lam=0.5, window=3, warmup_epochs=0)
+        state = PruneState(lam=0.5, window=3)
         record_score(state, 0, weight=0.5, prob_of_label=0.8, epoch=0)
         w = state.windows
         (row,), _ = w.find(np.array([0]))
@@ -97,16 +97,16 @@ class TestPruneDecision:
 class TestPruneState:
     def test_bad_lambda(self):
         with pytest.raises(ConfigurationError):
-            PruneState(lam=1.0, window=3, warmup_epochs=0)
+            PruneState(lam=1.0, window=3)
 
     def test_record_after_pruned_raises(self):
-        state = PruneState(lam=0.5, window=1, warmup_epochs=0)
+        state = PruneState(lam=0.5, window=1)
         state.pruned_ids.add(3)
         with pytest.raises(LogicError):
             record_score(state, 3, 0.5, 0.5, epoch=0)
 
     def test_weight_bounds(self):
-        state = PruneState(lam=0.5, window=1, warmup_epochs=0)
+        state = PruneState(lam=0.5, window=1)
         with pytest.raises(ValidationError):
             record_score(state, 0, 1.0, 0.5, epoch=0)
 
@@ -119,28 +119,21 @@ class TestApplyPruning:
 
     def test_all_above_keeps_everything(self):
         ds = toy_dataset(4)
-        state = PruneState(lam=0.5, window=2, warmup_epochs=0)
+        state = PruneState(lam=0.5, window=2)
         self._fill(state, ds, {i: [0.9, 0.9] for i in ds.ids})
         d3, newly = apply_pruning(state, ds, epoch=2)
         assert d3.ids == ds.ids and not newly
 
     def test_all_below_prunes_everything(self):
         ds = toy_dataset(4)
-        state = PruneState(lam=0.5, window=2, warmup_epochs=0)
+        state = PruneState(lam=0.5, window=2)
         self._fill(state, ds, {i: [0.1, 0.1] for i in ds.ids})
         d3, newly = apply_pruning(state, ds, epoch=2)
         assert len(d3) == 0 and newly == set(ds.ids)
 
-    def test_warmup_blocks_decisions(self):
-        ds = toy_dataset(3)
-        state = PruneState(lam=0.5, window=1, warmup_epochs=10)
-        self._fill(state, ds, {i: [0.1] for i in ds.ids})
-        d3, newly = apply_pruning(state, ds, epoch=4)
-        assert d3.ids == ds.ids and not newly
-
     def test_partition_and_log(self):
         ds = toy_dataset(4)
-        state = PruneState(lam=0.5, window=1, warmup_epochs=0)
+        state = PruneState(lam=0.5, window=1)
         self._fill(state, ds, {0: [0.9], 1: [0.1], 2: [0.9], 3: [0.2]})
         d3, newly = apply_pruning(state, ds, epoch=3)
         assert set(d3.ids) | state.pruned_ids == set(ds.ids)
@@ -150,7 +143,7 @@ class TestApplyPruning:
 
     def test_pruning_is_permanent(self):
         ds = toy_dataset(2)
-        state = PruneState(lam=0.5, window=1, warmup_epochs=0)
+        state = PruneState(lam=0.5, window=1)
         self._fill(state, ds, {0: [0.1], 1: [0.9]})
         d3, _ = apply_pruning(state, ds, epoch=0)
         # Even with no new evidence, sample 0 stays pruned on the next call.
@@ -163,7 +156,7 @@ class TestApplyPruning:
         means = {i: float(rng.uniform(0, 1)) for i in ds.ids}
         prev = set()
         for lam in (0.2, 0.4, 0.6, 0.8):
-            state = PruneState(lam=lam, window=1, warmup_epochs=0)
+            state = PruneState(lam=lam, window=1)
             for i, m in means.items():
                 record_score(state, i, 0.999, m, epoch=0)
             apply_pruning(state, ds, epoch=0)
@@ -178,7 +171,7 @@ class TestArrayPruningMatchesScalarRule:
 
     def _run(self, rng, lam, window, n_ids, epochs, forced=None):
         ds = toy_dataset(n_ids)
-        state = PruneState(lam=lam, window=window, warmup_epochs=0)
+        state = PruneState(lam=lam, window=window)
         refs = {i: ScoreHistory(i, window) for i in ds.ids}
         pruned: set[int] = set()
         active = ds
@@ -232,7 +225,7 @@ class TestArrayPruningMatchesScalarRule:
         scores = [0.302, 0.313, 0.033]
         lam = ((0.302 + 0.313) + 0.033) / 3
         assert lam != ((0.033 + 0.302) + 0.313) / 3
-        state = PruneState(lam=lam, window=3, warmup_epochs=0)
+        state = PruneState(lam=lam, window=3)
         for v in [0.4, *scores]:
             record_score(state, 0, 0.5, 2 * v, epoch=0)
         apply_pruning(state, toy_dataset(1), epoch=0)

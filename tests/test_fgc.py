@@ -59,9 +59,10 @@ class TestRecordPrediction:
         record_prediction(state, 0, np.array([0.4, 0.4, 0.2]), gt_label=2, epoch=0)
         assert first_entry(state, 0)[0] == 0
 
-    @pytest.mark.parametrize("gt_label", [-1, 3])
+    @pytest.mark.parametrize("gt_label", [-1, 3, 1.5, True])
     def test_label_outside_row_rejected(self, gt_label):
-        # -1 used to record probs[-1] as the annotated-label probability.
+        # -1 used to record probs[-1] as the annotated-label probability,
+        # and 1.5 or True probs[1].
         state = CorrectionState(tau=0.2, window=1, n_classes=3)
         with pytest.raises(ValidationError):
             record_prediction(state, 0, np.array([0.1, 0.2, 0.7]), gt_label, epoch=0)

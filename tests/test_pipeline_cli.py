@@ -22,7 +22,7 @@ from sciu.pipeline import (
     sweep_to_csv,
     write_report,
 )
-from sciu.report import render_report
+from sciu.report import render_report, summary_text
 from sciu.synth import SynthConfig, generate
 
 
@@ -266,6 +266,36 @@ class TestCli:
         assert "stages" not in captured.out
 
 
+class TestSummaryText:
+    """The text of `summary.txt`, for optional quality values that are all
+    None and for ones that are all floats."""
+
+    @pytest.mark.parametrize("values,shown,weights", [
+        ((None,) * 4, ("n/a",) * 4, ""),
+        ((0.5, 1 / 3, 0.0, 0.99996), ("0.5000", "0.3333", "0.0000", "1.0000"),
+         "mean weight kept: 0.6250  pruned: 0.1250\n"),
+    ])
+    def test_text(self, values, shown, weights):
+        precision, recall, accuracy, harmful = values
+        report = {
+            "mode": "sciu", "pruned_total": 12, "corrected_total": 3,
+            "final_test": {"war": 0.5, "uar": 0.25, "war_weighted": 0.125, "uar_weighted": 1.0},
+            "pruning_quality": {"precision": precision, "recall": recall},
+            "correction_quality": {"correction_accuracy": accuracy, "harmful_rate": harmful},
+            "weight_summary": {"mean_weight_kept": 0.625,
+                               "mean_weight_pruned": None if precision is None else 0.125},
+        }
+        assert summary_text(report) == (
+            "mode: sciu\n"
+            "pruned: 12  corrected: 3\n"
+            "final test WAR: 0.5000  UAR: 0.2500\n"
+            "final test WAR (weighted probs): 0.1250  UAR (weighted probs): 1.0000\n"
+            f"pruning precision: {shown[0]}  recall: {shown[1]}\n"
+            f"correction accuracy: {shown[2]}  harmful rate: {shown[3]}\n"
+            + weights
+        )
+
+
 class TestCliBoundaries:
     """Bad input at the command line is a one-line error with exit 2."""
 
@@ -286,6 +316,19 @@ class TestCliBoundaries:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: --") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--param", "tau", "--values", "0.2", "--seeds", "-1"],
+        ["--param", "lambda", "--values", "1.5"],
+        ["--param", "window", "--values", "0"],
+    ])
+    def test_sweep_config_rejected(self, dataset_file, capsys, argv):
+        # Each used to be caught as a failed cell: "best ...: None", exit 0.
+        code = main(["sweep", "--dataset", str(dataset_file)] + argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flag", ["--embed-dim", "--hidden-dim"])
     def test_zero_layer_width(self, dataset_file, capsys, flag):

@@ -164,6 +164,26 @@ class TestFgcStage:
             assert final[sid] == lab
 
 
+class TestDecisionSchedule:
+    """`train_stage` alone decides when a stage's rule runs: only after
+    warm-up, so the first decisions fall on the first epoch that ends with
+    a full window, warmup_epochs + window_t - 1."""
+
+    @pytest.mark.parametrize("stage,epochs,counts", [
+        ("cgp", lambda r: [e["epoch"] for e in r.prune_log],
+         lambda r: [rec.cumulative_pruned for rec in r.epoch_records]),
+        ("fgc", lambda r: [e.epoch for e in r.correction_events],
+         lambda r: [rec.cumulative_corrected for rec in r.epoch_records]),
+    ])
+    def test_first_decisions_on_first_full_window(self, stage, epochs, counts):
+        cfg = small_config()
+        first = cfg.warmup_epochs + cfg.window_t - 1
+        result = train_stage(generate(SynthConfig(per_class=60, seed=1)), cfg, stage)
+        assert all(epoch >= first for epoch in epochs(result))
+        assert first in epochs(result)
+        assert counts(result)[:first] == [0] * first and counts(result)[first] > 0
+
+
 class TestTrainMetricsReuseEvalForward:
     """The per-epoch train WAR/UAR come from the rows of `run_epoch`'s
     evaluation forward; after every decision they must equal a fresh

@@ -49,7 +49,7 @@ def test_pruning_interleavings_match_score_history(seed):
     rng = np.random.default_rng(seed)
     lam, window = float(rng.uniform(0.1, 0.5)), int(rng.integers(1, 4))
     ds = dataset(2, [0] * N_IDS)
-    state = PruneState(lam=lam, window=window, warmup_epochs=0)
+    state = PruneState(lam=lam, window=window)
     refs = {i: ScoreHistory(i, window) for i in ds.ids}
     pruned: set[int] = set()
     active, epoch = ds, 0
@@ -134,7 +134,7 @@ def test_recorded_row_is_copied():
 
 
 def test_checks_run_at_call_time():
-    prune = PruneState(lam=0.5, window=2, warmup_epochs=0)
+    prune = PruneState(lam=0.5, window=2)
     with pytest.raises(ValidationError):
         record_score(prune, 0, 1.0, 0.5, 0)
     correct = CorrectionState(tau=0.2, window=2, n_classes=2)

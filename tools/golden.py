@@ -19,7 +19,9 @@ line per output:
 - last, a small 10-class dataset (`TEN_CLASSES`) as the first item prints
   it, then its `report_to_json` text in every mode for pipeline seeds 0
   and 1: 8 reports. numpy sums a row of 8 or more classes pairwise, so a
-  change that keeps every 7-class digest can still change these.
+  change that keeps every 7-class digest can still change these;
+- the `--help` text of `sciu` and of each subcommand, from `build_parser()`
+  with `COLUMNS=80`: argparse wraps help to the terminal width.
 
 Run it on two commits and diff the output. The digests depend on the numpy
 build and the CPU's BLAS kernels, which may differ in the last bit between
@@ -29,6 +31,7 @@ machines, so compare runs made on one machine only.
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -36,6 +39,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sciu import pipeline  # noqa: E402
+from sciu.cli import build_parser  # noqa: E402
 from sciu.dataset import load_dataset, save_dataset  # noqa: E402
 from sciu.pipeline import (  # noqa: E402
     MODES, PipelineConfig, report_to_json, run_pipeline, sweep, sweep_to_csv,
@@ -72,6 +76,14 @@ def print_reports(dataset, name: str, seeds) -> None:
                   f"dataset={name} mode={mode} seed={seed}", flush=True)
 
 
+def print_help_digests() -> None:
+    os.environ["COLUMNS"] = "80"
+    parser = build_parser()
+    print(f"{sha(parser.format_help().encode())}  help sciu")
+    for name, sub in parser._subparsers._group_actions[0].choices.items():
+        print(f"{sha(sub.format_help().encode())}  help sciu {name}")
+
+
 def main() -> None:
     datasets = {s: round_trip(SynthConfig(seed=s), f"seed={s}") for s in DATASET_SEEDS}
     for ds_seed, dataset in datasets.items():
@@ -95,6 +107,7 @@ def main() -> None:
         print(f"{sha(text.encode())}  sweep cell tau={config.tau} seed={config.seed} "
               f"mode=sciu dataset=0")
     print_reports(round_trip(TEN_CLASSES, "10-class seed=2"), "10-class", range(2))
+    print_help_digests()
 
 
 if __name__ == "__main__":
