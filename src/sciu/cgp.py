@@ -1,10 +1,10 @@
 """Coarse-grained pruning: per-sample trailing windows of weighted scores
 and a strict-threshold keep/prune decision.
 
-Each active sample records s = weight * prob once per post-warm-up epoch.
-Once a sample has a full window of t scores, its trailing mean S_T is
-compared against lambda: keep iff S_T > lambda. Pruning is permanent for
-the remainder of the stage.
+Each active sample records s = weight * prob once per post-warm-up epoch
+(`prune_epoch`). Once a sample has a full window of t scores, its trailing
+mean S_T is compared against lambda: keep iff S_T > lambda. Pruning is
+permanent for the remainder of the stage.
 
 `ScoreHistory`, `trailing_mean` and `prune_decision` state the rule for one
 sample; `apply_pruning` applies it to every active sample at once, from the
@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigurationError, LogicError, ValidationError
+from .errors import (ConfigurationError, DegenerateRunError, LogicError, NumericError,
+                     ValidationError)
+from .model import row_max
 from .window import RingWindows
 
 
@@ -93,7 +95,7 @@ def apply_pruning(
 
     Every sample with a full window and not yet pruned is decided at once;
     ids pruned before are dropped undecided. Returns (D3 = active remainder,
-    ids newly pruned this call). `train_stage` calls it after warm-up only.
+    ids newly pruned this call). `prune_epoch` calls it after warm-up only.
     """
     ids = dataset.id_array
     pruned = np.isin(ids, np.fromiter(state.pruned_ids, np.int64, len(state.pruned_ids)))
@@ -107,3 +109,27 @@ def apply_pruning(
     state.pruned_ids.update(newly)
     pruned[pos[drop]] = True
     return dataset._take(np.flatnonzero(~pruned)), set(newly)
+
+
+def prune_epoch(state: PruneState, active: Dataset, eval_out: dict, epoch: int, config):
+    """Score by `config.score_source`, prune: (active set left, its `eval_out["probs"]` rows)."""
+    weights, probs = eval_out["weight"], eval_out["probs"]
+    # The sigmoid of the weight branch saturates to exactly 0.0 or 1.0 in
+    # float64 once its input passes about -745 or 37.
+    bad = ~((weights > 0.0) & (weights < 1.0))
+    if bad.any():
+        ids = active.id_array[bad][:5].tolist()
+        raise NumericError(f"weight branch saturated at epoch {epoch}: {int(bad.sum())} weights "
+                           f"non-finite or exactly 0 or 1, first sample ids {ids}")
+    if config.score_source == "annotated_class":
+        p = probs[np.arange(len(active)), active.labels()]
+    else:
+        p = row_max(probs)
+    for sid, w, pl in zip(active.ids, weights.tolist(), p.tolist()):
+        record_score(state, sid, w, pl, epoch)
+    kept, newly = apply_pruning(state, active, epoch)
+    if len(kept) == 0:
+        raise DegenerateRunError("all samples pruned: lower lambda or extend warm-up")
+    if newly:
+        probs = probs[np.isin(active.id_array, kept.id_array)]
+    return kept, probs

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -64,9 +64,6 @@ class CorrectionEvent:
             raise ValidationError(
                 f"correction for sample {self.sample_id} does not change the label"
             )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 class Columns(NamedTuple):
@@ -282,19 +279,24 @@ def save_dataset(dataset: Dataset, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
+def read_text(path) -> str:
+    """The text of the file at `path`, or a `ParseError` saying why it has none."""
+    try:
+        with open(path) as f:
+            return f.read()
+    except OSError as e:
+        raise ParseError(f"{path}: cannot read: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not a text file: {e}") from e
+
+
 def load_dataset(path) -> Dataset:
     """The validated dataset at `path`. Pinned: which error comes first. A `ParseError`
     naming `<path>:<line>` for the header, then line by line for bad JSON, a non-object,
     non-number features or a missing field; then `_columns`' on the records, each with
     its line (int64's as a `ParseError` naming it); then `validate`'s. A feature written
     as -0 (older saves wrote a negative zero so) loads as +0.0."""
-    try:
-        with open(path) as f:
-            raw_lines = f.read().splitlines()
-    except OSError as e:
-        raise ParseError(f"{path}: cannot read: {e.strerror or e}") from e
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not a text file: {e}") from e
+    raw_lines = read_text(path).splitlines()
     if not raw_lines:
         raise ParseError(f"{path}: empty file, missing header")
     try:

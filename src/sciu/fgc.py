@@ -1,5 +1,5 @@
 """Fine-grained correction: relabel samples whose predictions are stable on
-two axes over a trailing window.
+two axes over a trailing window, once per post-warm-up epoch (`correct_epoch`).
 
 Axis 1: the predicted label is identical across the last t epochs.
 Axis 2: mean predicted-label probability exceeds mean annotated-label
@@ -32,6 +32,8 @@ import numpy as np
 from .dataset import CorrectionEvent, Dataset
 from .errors import ConfigurationError, LogicError, ValidationError
 from .window import RingWindows
+
+PROB_ROWS = {"weighted": "weighted_probs", "unweighted": "probs"}  # eval output by prob_source
 
 
 @dataclass
@@ -155,3 +157,12 @@ def apply_corrections(
     w.clear(rows[accept])
     state.corrections.extend(events)
     return (dataset.with_labels(at, new) if events else dataset), events
+
+
+def correct_epoch(state: CorrectionState, active: Dataset, eval_out: dict, epoch: int, config):
+    """Record the rows `config.prob_source` picks, correct: (active set, `eval_out["probs"]`)."""
+    rows = eval_out[PROB_ROWS[config.prob_source]]
+    for sid, row, label in zip(active.ids, rows, active.labels().tolist()):
+        record_prediction(state, sid, row, label, epoch)
+    active, _ = apply_corrections(state, active, epoch)
+    return active, eval_out["probs"]

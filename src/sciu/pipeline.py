@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import Dataset, load_dataset, stratified_split
+from .dataset import Dataset, load_dataset, read_text, stratified_split
 from .errors import (
     ConfigurationError, DegenerateRunError, EvaluationError, NumericError, ParseError,
 )
@@ -90,9 +90,9 @@ def _stage_fragment(result: StageResult, role: str) -> dict:
     return {
         "role": role,
         "stage": result.stage,
-        "epoch_records": [r.to_dict() for r in result.epoch_records],
+        "epoch_records": [asdict(r) for r in result.epoch_records],
         "prune_log": [dict(entry) for entry in result.prune_log],
-        "correction_events": [e.to_dict() for e in result.correction_events],
+        "correction_events": [asdict(e) for e in result.correction_events],
     }
 
 
@@ -211,13 +211,7 @@ _REPORT_KEYS = ("mode", "stages", "final_test", "pruned_total", "corrected_total
 
 def load_report(path: str | Path) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise ParseError(f"{path}: cannot read: {e.strerror or e}") from e
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not a text file: {e}") from e
-    try:
-        report = json.loads(text)
+        report = json.loads(read_text(path))
     except (ValueError, RecursionError) as e:  # too deep, or an int of > 4,300 digits
         raise ParseError(f"{path}: corrupt report: {e}") from e
     if not isinstance(report, dict):

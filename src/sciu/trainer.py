@@ -1,19 +1,19 @@
 """Epoch-driven training loop binding the model, the optimizer, and the
-pruning/correction state machines.
+pruning/correction steps.
 
 Per epoch: deterministic shuffle keyed by (seed, epoch), minibatch SGD with
 momentum on the weighted cross-entropy loss, then one evaluation-mode
-forward over all active samples so every history entry for the epoch is
-scored by the same post-update parameters. Stage decisions (pruning or
-correction) run at the end of each post-warm-up epoch, and the epoch's train
-WAR/UAR are read from the same forward: its rows of the samples still
-active, against their labels after correction.
+forward over all active samples. After warm-up, a decision stage hands that
+forward's outputs to its step (`cgp.prune_epoch` or `fgc.correct_epoch`),
+which decides every active sample by the same post-update parameters and
+returns the active set left with its rows of the probs. The epoch's train
+WAR/UAR are read from those rows, against the labels after correction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -23,10 +23,10 @@ from . import fgc as fgc_mod
 from .dataset import Dataset
 from .errors import ConfigurationError, DegenerateRunError, NumericError
 from .metrics import ConfusionMatrix, uar, war
-from .model import SciuModel, backward_batch, forward_batch, init_model, row_max
+from .model import SciuModel, backward_batch, forward_batch, init_model
 
 SCORE_SOURCES = ("annotated_class", "max_class")
-PROB_SOURCES = ("weighted", "unweighted")
+PROB_SOURCES = tuple(fgc_mod.PROB_ROWS)
 
 # The TrainConfig fields each stage reads. A stage's result is a function of
 # these, its training input and the test split, and nothing else (so a sweep
@@ -60,6 +60,8 @@ class TrainConfig:
     hidden_dim: int = 4
 
     def validate(self) -> None:
+        if self.window_t < 1:
+            raise ConfigurationError("window_t must be >= 1")
         if self.epochs <= self.warmup_epochs + self.window_t:
             raise ConfigurationError(
                 "epochs must exceed warmup_epochs + window_t"
@@ -93,9 +95,6 @@ class EpochRecord:
     active_sample_count: int
     cumulative_pruned: int
     cumulative_corrected: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -156,19 +155,6 @@ def run_epoch(
     return float(np.mean(losses)), eval_out
 
 
-def _check_weights(weights: np.ndarray, dataset: Dataset, epoch: int) -> None:
-    """Sample weights must lie strictly inside (0, 1); the sigmoid of the
-    weight branch saturates to exactly 0.0 or 1.0 in float64 once its
-    input passes about -745 or 37."""
-    bad = ~((weights > 0.0) & (weights < 1.0))
-    if bad.any():
-        ids = dataset.id_array[bad][:5].tolist()
-        raise NumericError(
-            f"weight branch saturated at epoch {epoch}: {int(bad.sum())} weights "
-            f"non-finite or exactly 0 or 1, first sample ids {ids}"
-        )
-
-
 def evaluate(model: SciuModel, dataset: Dataset):
     """(WAR, UAR, confusion matrix) of the model's unweighted predictions
     against the dataset's labels: the per-epoch test metrics."""
@@ -203,44 +189,22 @@ def train_stage(
 
     prune_state = cgp_mod.PruneState(config.lam, config.window_t)
     corr_state = fgc_mod.CorrectionState(config.tau, config.window_t, dataset.n_classes)
-
-    # The evaluation outputs a post-warm-up epoch decides on; the train
-    # metrics read the probs.
-    weighted_fgc = stage == "fgc" and config.prob_source == "weighted"
-    scores = ("weight",) if stage == "cgp" else ("weighted_probs",) if weighted_fgc else ()
+    # A decision stage's entry: the evaluation outputs its post-warm-up
+    # epochs ask for besides the probs, its state and its step.
+    asked, state, step = {
+        "cgp": (("weight",), prune_state, cgp_mod.prune_epoch),
+        "fgc": ((fgc_mod.PROB_ROWS[config.prob_source],), corr_state, fgc_mod.correct_epoch),
+    }.get(stage, ((), None, None))
     active = dataset
     records: list[EpochRecord] = []
 
     for epoch in range(config.epochs):
-        outputs = ("probs",) + (scores if epoch >= config.warmup_epochs else ())
+        decides = step is not None and epoch >= config.warmup_epochs
+        outputs = ("probs",) + (asked if decides else ())
         mean_loss, eval_out = run_epoch(model, active, config, velocity, epoch, outputs)
-        # Rows of the active set's evaluation forward; the train metrics
-        # below reuse them, taken by mask after pruning.
         probs = eval_out["probs"]
-
-        if stage == "cgp" and epoch >= config.warmup_epochs:
-            weights = eval_out["weight"]
-            _check_weights(weights, active, epoch)
-            if config.score_source == "annotated_class":
-                p = probs[np.arange(len(active)), active.labels()]
-            else:
-                p = row_max(probs)
-            for sid, w, pl in zip(active.ids, weights.tolist(), p.tolist()):
-                cgp_mod.record_score(prune_state, sid, w, pl, epoch)
-            scored = active
-            active, newly = cgp_mod.apply_pruning(prune_state, active, epoch)
-            if len(active) == 0:
-                raise DegenerateRunError(
-                    "all samples pruned: lower lambda or extend warm-up"
-                )
-            if newly:
-                probs = probs[np.isin(scored.id_array, active.id_array)]
-
-        if stage == "fgc" and epoch >= config.warmup_epochs:
-            key = "weighted_probs" if weighted_fgc else "probs"
-            for sid, row, label in zip(active.ids, eval_out[key], active.labels().tolist()):
-                fgc_mod.record_prediction(corr_state, sid, row, label, epoch)
-            active, _ = fgc_mod.apply_corrections(corr_state, active, epoch)
+        if decides:
+            active, probs = step(state, active, eval_out, epoch, config)
 
         # Per-epoch metrics on the current active set (post-decision labels).
         cm = ConfusionMatrix.from_predictions(
@@ -267,7 +231,7 @@ def train_stage(
     return StageResult(
         stage=stage,
         model=model,
-        output_dataset=active if stage != "plain" else None,
+        output_dataset=active if step is not None else None,
         epoch_records=records,
         prune_log=prune_state.prune_log,
         correction_events=corr_state.corrections,

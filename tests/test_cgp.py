@@ -6,11 +6,15 @@ from sciu.cgp import (
     ScoreHistory,
     apply_pruning,
     prune_decision,
+    prune_epoch,
     record_score,
     trailing_mean,
 )
 from sciu.dataset import Dataset
-from sciu.errors import ConfigurationError, LogicError, ValidationError
+from sciu.errors import (
+    ConfigurationError, DegenerateRunError, LogicError, NumericError, ValidationError,
+)
+from sciu.trainer import SCORE_SOURCES, TrainConfig
 
 
 def toy_dataset(n=5):
@@ -230,3 +234,92 @@ class TestArrayPruningMatchesScalarRule:
             record_score(state, 0, 0.5, 2 * v, epoch=0)
         apply_pruning(state, toy_dataset(1), epoch=0)
         assert [e["S_T"] for e in state.prune_log] == [lam]
+
+
+def labelled_dataset(labels, n_classes=3):
+    n = len(labels)
+    return Dataset(np.arange(10, 10 + n, dtype=np.int64), np.zeros((n, 1)),
+                   np.array(labels, dtype=np.int64), np.full(n, -1, dtype=np.int64),
+                   np.full(n, -1, dtype=np.int8), n_classes=n_classes, dim=1)
+
+
+class TestPruneEpochMatchesScalarRule:
+    """`prune_epoch` driven by per-epoch weight and probability arrays, with
+    no model: every prune, every logged S_T and the rows it returns must be
+    what `ScoreHistory`, `trailing_mean` and `prune_decision` give."""
+
+    def _run(self, source, lam, window, labels, epochs, weights_of, probs_of):
+        ds = labelled_dataset(labels)
+        state = PruneState(lam=lam, window=window)
+        config = TrainConfig(lam=lam, window_t=window, score_source=source)
+        refs = {i: ScoreHistory(i, window) for i in ds.ids}
+        active = ds
+        for epoch in range(epochs):
+            at = np.searchsorted(ds.id_array, active.id_array)
+            weights, probs = weights_of(epoch)[at], probs_of(epoch)[at]
+            for k, i in enumerate(active.ids):
+                p = probs[k, labels[at[k]]] if source == "annotated_class" else max(probs[k])
+                refs[i].record(float(weights[k]) * float(p))
+            log_start = len(state.prune_log)
+            active, rows = prune_epoch(state, active, {"weight": weights, "probs": probs},
+                                       epoch, config)
+            want = []
+            for i in (ds.ids[j] for j in at):
+                s_t = trailing_mean(refs[i])
+                if s_t is not None and not prune_decision(s_t, lam):
+                    want.append({"epoch": epoch, "sample_id": i, "S_T": s_t, "lambda": lam})
+            assert state.prune_log[log_start:] == want
+            kept = [j for j in at if ds.ids[j] not in state.pruned_ids]
+            assert active.ids == [ds.ids[j] for j in kept]
+            assert rows.tobytes() == probs_of(epoch)[kept].tobytes()
+        return state
+
+    @pytest.mark.parametrize("source", SCORE_SOURCES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_epochs(self, source, seed):
+        rng = np.random.default_rng(seed)
+        window, n = int(rng.integers(1, 4)), 30
+        weights = rng.uniform(0.05, 0.95, (window + 3, n))
+        probs = rng.dirichlet(np.full(3, 0.7), (window + 3, n))
+        state = self._run(source, 0.2, window, rng.integers(0, 3, n).tolist(), window + 3,
+                          weights.__getitem__, probs.__getitem__)
+        assert 0 < len(state.pruned_ids) < n
+
+    @pytest.mark.parametrize("source", SCORE_SOURCES)
+    @pytest.mark.parametrize("window", [1, 3])
+    def test_mean_equal_to_lambda_prunes(self, source, window):
+        # Sample 10's scores have S_T == lambda exactly; w * p is each score
+        # bit for bit, its p both the annotated-class and the largest
+        # probability. Sample 11 scores higher and stays.
+        scores = [0.26 + 0.05 * k for k in range(window)] + [0.3, 0.3]
+        ref = ScoreHistory(0, window)
+        for v in scores[:window]:
+            ref.record(v)
+        lam = trailing_mean(ref)
+
+        def probs_of(epoch):
+            p = 2 * scores[epoch]
+            return np.array([[p, 1 - p, 0.0], [0.9, 0.1, 0.0]])
+
+        state = self._run(source, lam, window, [0, 0], window + 2,
+                          lambda epoch: np.array([0.5, 0.9]), probs_of)
+        assert state.prune_log == [
+            {"epoch": window - 1, "sample_id": 10, "S_T": lam, "lambda": lam}]
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, np.nan])
+    def test_saturated_weight_is_numeric_error(self, bad):
+        state = PruneState(lam=0.5, window=2)
+        weights = np.array([0.5, bad, 0.5])
+        with pytest.raises(NumericError, match=r"^weight branch saturated at epoch 7: 1 weights "
+                                               r"non-finite or exactly 0 or 1, first sample ids \[11\]$"):
+            prune_epoch(state, labelled_dataset([0, 1, 2]),
+                        {"weight": weights, "probs": np.full((3, 3), 1 / 3)}, 7, TrainConfig())
+        assert not state.pruned_ids
+
+    def test_all_pruned_is_degenerate(self):
+        state = PruneState(lam=0.5, window=1)
+        with pytest.raises(DegenerateRunError, match="^all samples pruned"):
+            prune_epoch(state, labelled_dataset([0, 1]),
+                        {"weight": np.full(2, 0.5), "probs": np.full((2, 3), 1 / 3)}, 4,
+                        TrainConfig())
+        assert state.pruned_ids == {10, 11}

@@ -150,12 +150,6 @@ class TestCorrectionEvent:
         with pytest.raises(ValidationError):
             CorrectionEvent(0, 1, 1, epoch=5)
 
-    def test_to_dict(self):
-        e = CorrectionEvent(3, 0, 2, epoch=7)
-        assert e.to_dict() == {
-            "sample_id": 3, "old_label": 0, "new_label": 2, "epoch": 7
-        }
-
 
 class TestStratifiedSplit:
     def _dataset(self, per_class=100, n_classes=3):

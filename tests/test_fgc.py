@@ -3,10 +3,12 @@ import pytest
 
 from sciu.dataset import Dataset
 from sciu.errors import ConfigurationError, LogicError, ValidationError
+from sciu.trainer import PROB_SOURCES, TrainConfig
 from sciu.fgc import (
     CorrectionState,
     PredictionHistory,
     apply_corrections,
+    correct_epoch,
     correction_decision,
     label_stable,
     record_prediction,
@@ -294,3 +296,67 @@ class TestArrayCorrectionsMatchScalarRule:
         events = self._run(np.random.default_rng(0), 0.2, 2, [0], epochs=5,
                            probs_of=lambda i, e: to3 if e < 2 else to1)
         assert events == [(0, 0, 3, 1), (0, 3, 1, 3)]
+
+
+class TestCorrectEpochMatchesScalarRule:
+    """`correct_epoch` driven by per-epoch probability arrays, with no model:
+    every correction must be what `PredictionHistory` with
+    `correction_decision` gives for the rows `prob_source` names, and the
+    rows it returns are all of the unweighted probs."""
+
+    def _run(self, source, tau, window, labels, epochs, outputs_of):
+        ds = toy_dataset(labels)
+        state = CorrectionState(tau=tau, window=window, n_classes=4)
+        config = TrainConfig(tau=tau, window_t=window, prob_source=source)
+        refs = {i: PredictionHistory(i, window) for i in ds.ids}
+        current = dict(zip(ds.ids, labels))
+        active, all_events = ds, []
+        for epoch in range(epochs):
+            eval_out = outputs_of(epoch)
+            picked = eval_out["weighted_probs" if source == "weighted" else "probs"]
+            for i, row in zip(ds.ids, picked):
+                y = int(np.argmax(row))
+                refs[i].record(y, float(row[y]), float(row[current[i]]))
+            active, rows = correct_epoch(state, active, eval_out, epoch, config)
+            want = []
+            for i in ds.ids:
+                if correction_decision(refs[i], tau):
+                    want.append((i, current[i], refs[i].entries[0][0], epoch))
+                    current[i] = refs[i].entries[0][0]
+                    refs[i].clear()
+            assert [(e.sample_id, e.old_label, e.new_label, e.epoch)
+                    for e in state.corrections[len(all_events):]] == want
+            assert active.ids == ds.ids
+            assert active.labels().tolist() == [current[i] for i in ds.ids]
+            assert rows is eval_out["probs"]
+            all_events += want
+        return all_events
+
+    @pytest.mark.parametrize("source", PROB_SOURCES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_epochs(self, source, seed):
+        rng = np.random.default_rng(seed)
+        window, n = int(rng.integers(1, 4)), 40
+        favourite = rng.integers(0, 4, n)
+
+        def outputs_of(epoch):
+            alpha = np.full((2, n, 4), 0.3)
+            alpha[:, np.arange(n), favourite] = 4.0
+            probs, weighted = (np.array([rng.dirichlet(a) for a in side]) for side in alpha)
+            return {"probs": probs, "weighted_probs": weighted}
+
+        events = self._run(source, 0.2, window, rng.integers(0, 4, n).tolist(), window + 3,
+                           outputs_of)
+        assert events
+
+    @pytest.mark.parametrize("source", PROB_SOURCES)
+    def test_argmax_tie_corrects_to_lowest_index(self, source):
+        # Classes 1 and 2 tie at the top of every row of the source read;
+        # the other source's rows would correct sample 0 to class 3.
+        tie, other = np.array([0.1, 0.45, 0.45, 0.0]), np.array([0.0, 0.0, 0.1, 0.9])
+
+        def outputs_of(epoch):
+            out = {"probs": other[None], "weighted_probs": other[None]}
+            return {**out, "weighted_probs" if source == "weighted" else "probs": tie[None]}
+
+        assert self._run(source, 0.2, 2, [0], 4, outputs_of) == [(0, 0, 1, 1)]

@@ -329,6 +329,8 @@ class TestCliBoundaries:
         assert code == 2
         assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
         assert captured.out == ""
+        if "window" in argv:
+            assert captured.err == "error: window_t must be >= 1\n"
 
     @pytest.mark.parametrize("flag", ["--embed-dim", "--hidden-dim"])
     def test_zero_layer_width(self, dataset_file, capsys, flag):
@@ -344,6 +346,11 @@ class TestCliBoundaries:
         assert code == 2
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "warmup_epochs must be non-negative" in err
+
+    def test_zero_window(self, dataset_file, capsys):
+        code = main(["run", "--dataset", str(dataset_file), "--mode", "sciu", "--window", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: window_t must be >= 1\n"
 
     def test_run_missing_dataset(self, tmp_path, capsys):
         missing = tmp_path / "none.jsonl"

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError):
             TrainConfig(epochs=10, warmup_epochs=8, window_t=3).validate()
 
+    @pytest.mark.parametrize("window_t", [0, -3])
+    def test_window_must_be_positive(self, window_t):
+        with pytest.raises(ConfigurationError, match="^window_t must be >= 1$"):
+            TrainConfig(window_t=window_t).validate()
+
     def test_bad_score_source(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(score_source="nope").validate()
@@ -77,9 +84,7 @@ class TestPlainStage:
         ds = two_class_toy()
         r1 = train_stage(ds, small_config(), "plain")
         r2 = train_stage(ds, small_config(), "plain")
-        assert [r.to_dict() for r in r1.epoch_records] == [
-            r.to_dict() for r in r2.epoch_records
-        ]
+        assert [asdict(r) for r in r1.epoch_records] == [asdict(r) for r in r2.epoch_records]
 
     def test_converges_on_separable_toy(self):
         ds = two_class_toy()
