@@ -35,6 +35,8 @@ QUALITY_CLEAN = "clean"
 QUALITY_LOW = "low_quality"
 # Codes of the quality column; -1 marks a sample without a quality flag.
 QUALITY_CODES = {None: -1, QUALITY_CLEAN: 0, QUALITY_LOW: 1}
+# Rows that `Dataset._records` turns into Python values at once.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -208,9 +210,11 @@ class Dataset:
     def _records(self) -> Iterator[tuple]:
         """Each sample's raw record as `_columns` reads it, less the line number:
         Python values, features as a list, None for an absent oracle field."""
-        for sid, features, label, true_label, code in zip(*(c.tolist() for c in self._cols)):
-            true_label = None if true_label < 0 else true_label
-            yield sid, features, label, true_label, _QUALITY_NAMES[code]
+        for start in range(0, len(self), _BLOCK):
+            block = (c[start:start + _BLOCK].tolist() for c in self._cols)
+            for sid, features, label, true_label, code in zip(*block):
+                true_label = None if true_label < 0 else true_label
+                yield sid, features, label, true_label, _QUALITY_NAMES[code]
 
     @property
     def samples(self) -> list[Sample]:
@@ -261,29 +265,32 @@ class Dataset:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write `dataset` to `path`. Pinned: the bytes. A compact header, one record a
-    sample in order, fields in `Sample` order, oracle fields where present, each
-    feature as `format(v, ".17g")` writes it (one `%` a record gives that text),
-    but a negative zero as -0.0: JSON reads that "-0" as the integer 0."""
+    """Write `dataset` to `path`, a record a write. Pinned: the bytes. A compact
+    header, one record a sample in order, fields in `Sample` order, oracle fields where
+    present, each feature as `format(v, ".17g")` writes it (one `%` a record gives that
+    text), but a negative zero as -0.0: JSON reads that "-0" as the integer 0."""
     header = {"format": "sciu-dataset", "n_classes": dataset.n_classes, "dim": dataset.dim}
-    lines, row = [json.dumps(header, separators=(",", ":"))], ",".join(["%.17g"] * dataset.dim)
-    for sid, features, label, true_label, flag in dataset._records():
-        true_label = "" if true_label is None else f',"true_label":{true_label}'
-        flag = "" if flag is None else f',"quality_flag":"{flag}"'
-        lines.append(f'{{"id":{sid},"features":[{row % tuple(features)}],"label":{label}'
-                     f"{true_label}{flag}}}")
-    features = dataset.features_matrix()
-    for i in np.flatnonzero((np.signbit(features) & (features == 0)).any(axis=1)).tolist():
-        lines[1 + i] = re.sub(r"(?<=[\[,])-0(?=[,\]])", "-0.0", lines[1 + i])
+    row, records = ",".join(["%.17g"] * dataset.dim), dataset._records()
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(json.dumps(header, separators=(",", ":")) + "\n")
+        for start in range(0, len(dataset), _BLOCK):
+            block = dataset.features_matrix()[start:start + _BLOCK]
+            negative_zero = (np.signbit(block) & (block == 0)).any(axis=1).tolist()
+            # zip asks `negative_zero` first, so it takes only this block's records.
+            for minus0, (sid, feats, label, true_label, flag) in zip(negative_zero, records):
+                true_label = "" if true_label is None else f',"true_label":{true_label}'
+                flag = "" if flag is None else f',"quality_flag":"{flag}"'
+                line = (f'{{"id":{sid},"features":[{row % tuple(feats)}],"label":{label}'
+                        f"{true_label}{flag}}}\n")
+                f.write(re.sub(r"(?<=[\[,])-0(?=[,\]])", "-0.0", line) if minus0 else line)
 
 
-def read_text(path) -> str:
-    """The text of the file at `path`, or a `ParseError` saying why it has none."""
+def read_lines(path) -> Iterator[str]:
+    """The lines of the text file at `path`, each ended by "\\n" as universal newlines read
+    them; a `ParseError` saying why it has no text, at `open` or at a line that does not decode."""
     try:
         with open(path) as f:
-            return f.read()
+            yield from f
     except OSError as e:
         raise ParseError(f"{path}: cannot read: {e.strerror or e}") from e
     except UnicodeDecodeError as e:
@@ -291,16 +298,17 @@ def read_text(path) -> str:
 
 
 def load_dataset(path) -> Dataset:
-    """The validated dataset at `path`. Pinned: which error comes first. A `ParseError`
-    naming `<path>:<line>` for the header, then line by line for bad JSON, a non-object,
-    non-number features or a missing field; then `_columns`' on the records, each with
-    its line (int64's as a `ParseError` naming it); then `validate`'s. A feature written
-    as -0 (older saves wrote a negative zero so) loads as +0.0."""
-    raw_lines = read_text(path).splitlines()
-    if not raw_lines:
+    """The validated dataset at `path`. Pinned: which error comes first. Line by line, a
+    `ParseError` naming `<path>:<line>` for the header, bad JSON, a non-object, non-number
+    features or a missing field, or naming `<path>` for bytes that do not decode; then
+    `_columns`' on the records, each with its line (int64's as a `ParseError` naming it);
+    then `validate`'s. A feature written as -0 (older saves wrote a negative zero so)
+    loads as +0.0."""
+    lines = (line.rstrip("\n") for line in read_lines(path))
+    if (first := next(lines, None)) is None:
         raise ParseError(f"{path}: empty file, missing header")
     try:
-        header = json.loads(raw_lines[0])
+        header = json.loads(first)
     except (ValueError, RecursionError) as e:  # too deep, or an int of > 4,300 digits
         raise ParseError(f"{path}:1: malformed header: {e}") from e
     if not isinstance(header, dict) or header.get("format") != "sciu-dataset":
@@ -311,7 +319,7 @@ def load_dataset(path) -> Dataset:
         if not _is_int(header[key]) or header[key] < 0:
             raise ParseError(f"{path}:1: {key} {header[key]!r} is not a non-negative integer")
     records = []
-    for lineno, line in enumerate(raw_lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         try:

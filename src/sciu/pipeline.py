@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import Dataset, load_dataset, read_text, stratified_split
+from .dataset import Dataset, load_dataset, read_lines, stratified_split
 from .errors import (
     ConfigurationError, DegenerateRunError, EvaluationError, NumericError, ParseError,
 )
@@ -211,7 +211,7 @@ _REPORT_KEYS = ("mode", "stages", "final_test", "pruned_total", "corrected_total
 
 def load_report(path: str | Path) -> dict:
     try:
-        report = json.loads(read_text(path))
+        report = json.loads("".join(read_lines(path)))
     except (ValueError, RecursionError) as e:  # too deep, or an int of > 4,300 digits
         raise ParseError(f"{path}: corrupt report: {e}") from e
     if not isinstance(report, dict):

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sciu
+from sciu.cli import main
 from sciu.dataset import (
+    _BLOCK,
     QUALITY_CODES,
     CorrectionEvent,
     Dataset,
@@ -20,6 +24,7 @@ from sciu.dataset import (
     stratified_split,
 )
 from sciu.errors import ParseError, SciuError, ValidationError
+from sciu.synth import SynthConfig, generate
 
 
 def columns(n=3, dim=2, **changed):
@@ -384,6 +389,66 @@ class TestIntegerFields:
             load_dataset(path)
 
 
+class TestFileLevel:
+    """Faults of a file as a whole, and what a line is: what universal newlines
+    read, ended by "\\n", "\\r\\n" or a lone "\\r"."""
+
+    def test_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(HEADER.encode() + b'{"id":0,"features":[1.0,0.0],"label":0,"x":"\xe9"}\n')
+        assert main(["run", "--dataset", str(path), "--mode", "baseline"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not a text file: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
+    def test_not_utf8_report_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "report.struct"
+        path.write_bytes(b'{"mode":"\xff"}\n')
+        assert main(["report", "--report", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not a text file: ") and err.count("\n") == 1
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b"")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: empty file, missing header$"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("end,last", [("\r\n", "\r\n"), ("\r", "\r"), ("\n", ""),
+                                          ("\r\n", "")],
+                             ids=["crlf", "cr", "lf-no-final", "crlf-no-final"])
+    def test_line_ends_load_as_lf(self, tmp_path, end, last):
+        lines = [HEADER, RECORD, '{"id":1,"features":[0.5,-0.0],"label":1}\n']
+        lf, other = tmp_path / "lf.jsonl", tmp_path / "other.jsonl"
+        lf.write_bytes("".join(lines).encode())
+        other.write_bytes((end.join(line.rstrip("\n") for line in lines) + last).encode())
+        assert outcome(load_dataset, other) == outcome(load_dataset, lf)
+        other.write_bytes((end.join(line.rstrip("\n") for line in [*lines, "{oops"]) + last).encode())
+        with pytest.raises(ParseError, match=":4: malformed record"):
+            load_dataset(other)
+
+    def test_form_feed_is_not_a_line_end(self, tmp_path, capsys):
+        # str.splitlines would end line 2 at the "\f"; JSON rejects it inside the
+        # line, and the lines after it keep their numbers.
+        path = tmp_path / "d.jsonl"
+        path.write_bytes((HEADER + '{"id":0,"features":[1.0,0.0],\f"label":0}\n{oops\n').encode())
+        assert main(["run", "--dataset", str(path), "--mode", "baseline"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: malformed record: ") and err.count("\n") == 1
+        path.write_bytes((HEADER + "\f\n{oops\n").encode())  # a blank line 2, not two
+        with pytest.raises(ParseError, match=":3: malformed record"):
+            load_dataset(path)
+
+    def test_line_separator_stays_in_its_string(self, tmp_path, capsys):
+        # U+2028 is a line end to str.splitlines, but a character of a JSON string.
+        path = tmp_path / "d.jsonl"
+        path.write_bytes((HEADER + '{"id":0,"features":[1.0,0.0],"label":0,'
+                          '"quality_flag":"low\u2028quality"}\n').encode())
+        assert main(["run", "--dataset", str(path), "--mode", "baseline"]) == 2
+        assert capsys.readouterr().err == (
+            "error: sample 0: unknown quality_flag 'low\\u2028quality'\n")
+
+
 class TestFromColumns:
     """The one constructor: columns in order or by name, validated once."""
 
@@ -507,6 +572,45 @@ def reference_save(dataset):
             parts.append(f'"quality_flag":"{s.quality_flag}"')
         lines.append("{" + ",".join(parts) + "}")
     return "\n".join(lines) + "\n"
+
+
+def test_save_crosses_blocks(tmp_path):
+    # More than two blocks, with -0.0 in the first and last row of each.
+    n = 2 * _BLOCK + 3
+    rng = np.random.default_rng(0)
+    features = rng.standard_normal((n, 3))
+    features[[0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, n - 1], 1] = -0.0
+    ids, labels = rng.permutation(10 * n)[:n], rng.integers(0, 3, n)
+    true_labels, quality = rng.integers(-1, 3, n), rng.integers(-1, 2, n).astype(np.int8)
+    dataset = Dataset(ids, features, labels, true_labels, quality, n_classes=3, dim=3)
+    path = tmp_path / "d.jsonl"
+    save_dataset(dataset, path)
+    assert path.read_text() == reference_save(dataset)
+    names = {code: name for name, code in QUALITY_CODES.items()}
+    assert [(s.id, s.features.tobytes(), s.label, s.true_label, s.quality_flag)
+            for s in dataset.samples] == [
+        (ids[i], features[i].tobytes(), labels[i], None if true_labels[i] < 0 else true_labels[i],
+         names[quality[i]]) for i in range(n)]
+    loaded = load_dataset(path)
+    np.testing.assert_array_equal(np.signbit(loaded.features_matrix()), np.signbit(features))
+    assert loaded.fingerprint() == dataset.fingerprint()
+
+
+def test_save_and_load_memory_is_bounded_by_a_block(tmp_path):
+    # The default dataset (4,900 x 16, a 1.7 MB file). Holding the whole file
+    # as Python values and text, as the file-at-once save and load did, peaks
+    # at 5.9 and 5.8 MiB.
+    dataset, path = generate(SynthConfig(seed=0)), tmp_path / "d.jsonl"
+    peaks = {}
+    for name, call in (("save", lambda: save_dataset(dataset, path)),
+                       ("load", lambda: load_dataset(path))):
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    assert peaks["save"] < 1.0 and peaks["load"] < 4.5, peaks
 
 
 EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308,
