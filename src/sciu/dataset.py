@@ -286,8 +286,8 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def read_lines(path) -> Iterator[str]:
-    """The lines of the text file at `path`, each ended by "\\n" as universal newlines read
-    them; a `ParseError` saying why it has no text, at `open` or at a line that does not decode."""
+    """The lines of the text file at `path`, as universal newlines read and end them ("\\n");
+    a `ParseError` saying why it has no text, at `open` or at a line that does not decode."""
     try:
         with open(path) as f:
             yield from f
