@@ -24,7 +24,6 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -82,10 +81,6 @@ _QUALITY_NAMES = {code: name for name, code in QUALITY_CODES.items()}
 _scan = json.JSONDecoder().scan_once  # json.loads' scanner: same settings, no wrappers
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _readonly(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -96,29 +91,25 @@ def _columns(records: list[tuple], dim: int, path) -> Columns:
     quality_flag) records `load_dataset` reads from `path`, with None for an
     absent oracle field.
 
-    Rejects what a column could not hold as given: a non-integer id, label
-    or true_label (an int64 column would truncate 0.5 to 0), a true_label
-    of -1 (which the column reads as absent), a quality flag with no code
-    and a feature vector of the wrong shape, one pass a field (the loop only
-    words the first bad record's error); then a value int64 cannot hold, as
-    a `ParseError` naming its line. Value ranges are left to `Dataset.validate`.
+    Rejects, record by record, what a column could not hold as given: an id,
+    label or true_label not of type `int` (JSON's exact type; an int64 column
+    would truncate 0.5 to 0), a true_label of -1 (which the column reads as
+    absent), a quality flag with no code and a feature vector of the wrong
+    shape; then a value int64 cannot hold, as a `ParseError` naming its line.
+    Value ranges are left to `Dataset.validate`.
     """
-    _, ids, rows, labels, true_labels, flags = zip(*records) if records else [()] * 6
-    passed = (set(map(type, ids + labels)) <= {int} and -1 not in true_labels
-              and set(map(type, true_labels)) <= {int, type(None)}
-              and set(map(type, flags)) <= {str, type(None)} and set(flags) <= set(QUALITY_CODES)
-              and set(map(attrgetter("shape"), rows)) <= {(dim,)})
-    for _, sid, features, label, true_label, flag in () if passed else records:
-        if not _is_int(sid):
+    for _, sid, features, label, true_label, flag in records:
+        if type(sid) is not int:
             raise ValidationError(f"sample id {sid!r} is not an integer")
-        if not _is_int(label):
+        if type(label) is not int:
             raise ValidationError(f"sample {sid}: label {label!r} is not an integer")
-        if true_label is not None and not (_is_int(true_label) and true_label != -1):
+        if true_label is not None and (type(true_label) is not int or true_label == -1):
             raise ValidationError(f"sample {sid}: true_label {true_label!r} is not a class index")
         if not isinstance(flag, (str, type(None))) or flag not in QUALITY_CODES:
             raise ValidationError(f"sample {sid}: unknown quality_flag {flag!r}")
         if features.shape != (dim,):
             raise ValidationError(f"sample {sid}: feature dim {features.shape} != ({dim},)")
+    _, ids, rows, labels, true_labels, flags = zip(*records) if records else [()] * 6
     try:
         return Columns(
             np.array(ids, dtype=np.int64),
@@ -316,7 +307,7 @@ def load_dataset(path) -> Dataset:
     for key in ("n_classes", "dim"):
         if key not in header:
             raise ParseError(f"{path}:1: header has no {key!r}")
-        if not _is_int(header[key]) or header[key] < 0:
+        if type(header[key]) is not int or header[key] < 0:
             raise ParseError(f"{path}:1: {key} {header[key]!r} is not a non-negative integer")
     records = []
     for lineno, line in enumerate(lines, start=2):

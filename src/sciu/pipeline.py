@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .metrics import ConfusionMatrix, correction_quality, pruning_quality, uar, war
 from .model import forward_batch
-from .trainer import STAGE_FIELDS, STAGES, StageResult, TrainConfig, train_stage
+from .trainer import STAGE_IGNORES, STAGES, StageResult, TrainConfig, train_stage
 
 # The stages each mode runs, in order, before the final plain stage.
 MODES = {"baseline": (), "cgp_only": ("cgp",), "fgc_only": ("fgc",), "sciu": ("cgp", "fgc")}
@@ -49,11 +49,11 @@ class PipelineConfig(TrainConfig):
 class StageMemo:
     """Stage results shared by the cells of one sweep.
 
-    Results are keyed by the stage, the values of the config fields it
-    reads (`STAGE_FIELDS`) but τ and the content fingerprints of its
-    training input and of the test split; a cell reuses the first result of
-    its key whose `tau_range` [lo, hi) holds its τ (every τ, for CGP and the
-    final stage). A stage that raises is not kept: it raises again in every
+    Results are keyed by the stage, the values of every config field but τ
+    and those it ignores (`STAGE_IGNORES`), and the content fingerprints of
+    its training input and of the test split; a cell reuses the first result
+    of its key whose `tau_range` [lo, hi) holds its τ (every τ, for CGP and
+    the final stage). A stage that raises is not kept: it raises again in every
     cell that reaches it. `counts` holds, per stage, how many results were
     computed (and returned) and how many were reused.
     """
@@ -64,16 +64,14 @@ class StageMemo:
 
 
 def _train(
-    dataset: Dataset, config: TrainConfig, stage: str, test: Dataset,
-    memo: Optional[StageMemo],
+    dataset: Dataset, config: TrainConfig, stage: str, test: Dataset, memo: StageMemo
 ) -> StageResult:
     """`train_stage`, or the result of an earlier call with the same inputs
     but τ, and τ in its [lo, hi) `tau_range`, when `memo` holds one. The
     result may be shared: read it, never change it."""
-    if memo is None:
-        return train_stage(dataset, config, stage, test)
     # repr keeps 3 and 3.0 (or 0.0 and -0.0) apart, which == would not.
-    values = repr(tuple(getattr(config, f) for f in STAGE_FIELDS[stage] if f != "tau"))
+    values = repr(tuple(getattr(config, f.name) for f in fields(config)
+                        if f.name not in STAGE_IGNORES[stage] + ("tau",)))
     key = (stage, values, dataset.fingerprint(), test.fingerprint())
     for result in memo.results.get(key, ()):
         lo, hi = result.tau_range
@@ -161,7 +159,7 @@ def run_pipeline(
 
     train, test = stratified_split(dataset, config.train_fraction, config.seed)
     results: dict[str, StageResult] = {}
-    stage_input = train
+    stage_input, memo = train, memo or StageMemo()
     for stage in MODES[mode] + ("plain",):
         results[stage] = _train(stage_input, config, stage, test, memo)
         stage_input = results[stage].output_dataset

@@ -28,19 +28,17 @@ from .model import SciuModel, backward_batch, forward_batch, init_model
 SCORE_SOURCES = ("annotated_class", "max_class")
 PROB_SOURCES = tuple(fgc_mod.PROB_ROWS)
 
-# The TrainConfig fields each stage reads. A stage's result is a function of
-# these, its training input and the test split, and nothing else (so a sweep
-# can share it between cells that agree on all three). FGC reads tau only
-# through its decisions: its result holds for every tau in its `tau_range`.
-_PLAIN_FIELDS = (
-    "learning_rate", "momentum", "batch_size", "epochs", "seed", "embed_dim", "hidden_dim",
-)
-STAGE_FIELDS = {
-    "plain": _PLAIN_FIELDS,
-    "cgp": _PLAIN_FIELDS + ("warmup_epochs", "window_t", "lam", "score_source"),
-    "fgc": _PLAIN_FIELDS + ("warmup_epochs", "window_t", "tau", "prob_source"),
+# The TrainConfig fields each stage does not read. A stage's result is a
+# function of every other config field, its training input and the test split,
+# and nothing else (so a sweep can share it between cells that agree on all
+# three). FGC reads tau only through its decisions: its result holds for every
+# tau in its `tau_range`.
+STAGE_IGNORES = {
+    "plain": ("warmup_epochs", "window_t", "lam", "tau", "score_source", "prob_source"),
+    "cgp": ("tau", "prob_source"),
+    "fgc": ("lam", "score_source"),
 }
-STAGES = tuple(STAGE_FIELDS)
+STAGES = tuple(STAGE_IGNORES)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from sciu.pipeline import (
     sweep_to_csv,
 )
 from sciu.synth import SynthConfig, generate
-from sciu.trainer import STAGE_FIELDS, STAGES, TrainConfig, train_stage
+from sciu.trainer import STAGE_IGNORES, STAGES, TrainConfig, train_stage
 
 SEEDS = [0, 1]
 VALUES = {"lambda": [0.5, 0.7], "tau": [0.1, 0.3], "window": [2, 3]}
@@ -316,14 +316,14 @@ def _stage_bytes(result) -> tuple:
 class TestProjection:
     def test_fields_are_train_config_fields(self):
         names = {f.name for f in dataclasses.fields(TrainConfig)}
-        assert set(STAGE_FIELDS) == set(STAGES)
-        for stage, fields in STAGE_FIELDS.items():
+        assert set(STAGE_IGNORES) == set(STAGES)
+        for stage, fields in STAGE_IGNORES.items():
             assert set(fields) <= names, stage
             assert len(set(fields)) == len(fields), stage
 
     @pytest.mark.parametrize("stage", STAGES)
     def test_fields_outside_the_projection_are_not_read(self, dataset, stage):
-        """Changing any config field a stage does not declare leaves its
+        """Changing any config field a stage declares it ignores leaves its
         fragment, its model and its output dataset unchanged."""
         config = TrainConfig(epochs=16, warmup_epochs=8, window_t=2, learning_rate=0.1)
         train, test = stratified_split(dataset, 0.8, 0)
@@ -333,15 +333,27 @@ class TestProjection:
         if stage == "fgc":
             assert reference.correction_events
         want = _stage_bytes(reference)
-        outside = [f.name for f in dataclasses.fields(TrainConfig)
-                   if f.name not in STAGE_FIELDS[stage]]
-        assert outside
-        for name in outside:
+        for name in STAGE_IGNORES[stage]:
             value = OTHER_VALUE[name](getattr(config, name))
             assert value != getattr(config, name)
             changed = dataclasses.replace(config, **{name: value})
             changed.validate()
             assert _stage_bytes(train_stage(train, changed, stage, test)) == want, name
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_a_field_a_subclass_adds_enters_the_key(self, dataset, stage):
+        """No stage is listed as ignoring a field the config gains later, so
+        two values of it give two computed stages."""
+        @dataclasses.dataclass
+        class Extended(PipelineConfig):
+            extra: int = 0
+
+        memo = StageMemo()
+        train, test = stratified_split(dataset, 0.8, 0)
+        for extra in (0, 1, 1):
+            config = Extended(**dataclasses.asdict(small_config()), extra=extra)
+            pipeline._train(train, config, stage, test, memo)
+        assert memo.counts[stage] == {"computed": 2, "reused": 1}
 
 
 class TestFingerprint:

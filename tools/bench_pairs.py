@@ -13,7 +13,10 @@ operations both sides read the same `test_war_true`; and, per end-to-end
 metric, each side's median [q1, q3] over the pairs and in how many pairs the
 change was better. It writes every run's last-line JSON with its seed and
 side, plus nproc, the numpy version and each checkout's commit (and whether
-its tree had uncommitted changes), to `--out`.
+its tree had uncommitted changes) and directory depth, to `--out`. It warns on
+stderr when the two checkouts sit at different depths: the path a run starts
+from has moved `sciu-run`'s `op_s` by 2.7 %, so compare checkouts made side by
+side.
 """
 
 from __future__ import annotations
@@ -55,13 +58,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def checkout_state(checkout: Path) -> dict:
-    """The commit a checkout is at, and whether its tree differs from it;
-    both None when it is not a git checkout."""
+    """The commit a checkout is at, and whether its tree differs from it
+    (both None when it is not a git checkout); and its directory depth."""
     def git(*args):
         proc = subprocess.run(["git", *args], capture_output=True, text=True, cwd=checkout)
         return proc.stdout.strip() if proc.returncode == 0 else None
     commit, status = git("rev-parse", "HEAD"), git("status", "--porcelain")
-    return {"commit": commit, "dirty": None if status is None else bool(status)}
+    return {"commit": commit, "dirty": None if status is None else bool(status),
+            "depth": len(checkout.parts)}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -119,6 +123,11 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    states = {side: checkout_state(checkouts[side]) for side in SIDES}
+    if states["parent"]["depth"] != states["change"]["depth"]:
+        print("warning: --parent and --change sit at different directory depths "
+              f"({states['parent']['depth']} and {states['change']['depth']}); "
+              "the timings may differ by the path alone", file=sys.stderr)
     runs = []
     for workload in args.workloads.split(","):
         for k, seed in enumerate(args.seeds):
@@ -134,7 +143,7 @@ def main(argv=None) -> int:
         "numpy": numpy.__version__,
         "python": sys.version.split()[0],
         "seconds": args.seconds,
-        "checkouts": {side: checkout_state(checkouts[side]) for side in SIDES},
+        "checkouts": states,
         "runs": runs,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
