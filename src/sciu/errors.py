@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and a config's type check."""
+
+from dataclasses import fields
 
 
 class SciuError(Exception):
@@ -31,3 +33,15 @@ class DegenerateRunError(SciuError):
 
 class NumericError(SciuError):
     """Non-finite loss or parameters during training."""
+
+
+def check_field_types(config, error: type) -> None:
+    """Raise `error` for a field of the dataclass `config` not of its default's
+    type: an int field takes exactly `int` (no bool, float or numpy integer), a
+    float field an int or a float but no bool, a str field a `str`."""
+    for f in fields(config):
+        kind, v = type(f.default), getattr(config, f.name)
+        ok = {int: type(v) is int, str: isinstance(v, str),
+              float: type(v) is not bool and isinstance(v, (int, float))}
+        if not ok.get(kind, True):
+            raise error(f"{f.name} must be {kind.__name__}, not {type(v).__name__}")

@@ -13,9 +13,9 @@ hand-derived analytic gradient of this loss, checked against finite
 differences in the test suite. It and `forward_batch` run the same layer
 functions (`_encode`, `_weigh`, `_softmax_rows`), so training and inference
 compute every layer with the same float operations; `forward_batch` skips
-the ones whose outputs its caller does not ask for. A minibatch is ~60 small
-numpy calls that cost more in dispatch than in flops, so the layers call
-ufuncs directly and write in place, keeping every float operation.
+those its caller does not ask for. A minibatch is ~60 numpy calls, more
+dispatch than flops, so the layers call ufuncs and write in place, bit for bit:
+a ReLU on its layer's output, the backward's masks on max(y, 0) > 0 (iff y > 0).
 
 Parameters live in one contiguous float64 vector, `model.flat`: the eight
 arrays of `parameters()` one after another, in that order, each row-major.
@@ -118,29 +118,29 @@ def _linear(x: np.ndarray, layer: LinearLayer) -> np.ndarray:
 
 
 def _encode(model: SciuModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Encoder and classifier over a float64 batch: (pre_emb, emb, logits)."""
-    pre_emb = _linear(x, model.encoder)
-    emb = np.maximum(pre_emb, 0.0)
-    return pre_emb, emb, _linear(emb, model.classifier)
+    """Encoder and classifier over a float64 batch: (emb, logits)."""
+    emb = _linear(x, model.encoder)
+    np.maximum(emb, 0.0, out=emb)
+    return emb, _linear(emb, model.classifier)
 
 
 def _weigh(model: SciuModel, emb: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Weight branch over the embeddings: (pre_hid, hidden, (n,) weights w)."""
-    pre_hid = _linear(emb, model.wb_hidden)
-    hidden = np.maximum(pre_hid, 0.0)
+    """Weight branch over the embeddings: (hidden, (n,) weights w)."""
+    hidden = _linear(emb, model.wb_hidden)
+    np.maximum(hidden, 0.0, out=hidden)
     pre_sig = _linear(hidden, model.wb_out)[:, 0]
     # Stable sigmoid: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below; with e in
     # [0, 1], the numerator max(e, x >= 0) is 1 or e.
     e = np.exp(-np.abs(pre_sig))
-    return pre_hid, hidden, np.maximum(e, pre_sig >= 0) / (1.0 + e)
+    return hidden, np.maximum(e, pre_sig >= 0) / (1.0 + e)
 
 
 def _forward(model: SciuModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Every layer over a batch: (pre_emb, emb, logits, pre_hid, hidden, w,
-    wp), with wp = softmax(w * logits). `backward_batch` reads all of them."""
-    pre_emb, emb, logits = _encode(model, x)
-    pre_hid, hidden, w = _weigh(model, emb)
-    return pre_emb, emb, logits, pre_hid, hidden, w, _softmax_rows(w[:, None] * logits)
+    """Every layer over a batch: (emb, logits, hidden, w, wp), with
+    wp = softmax(w * logits). `backward_batch` reads all of them."""
+    emb, logits = _encode(model, x)
+    hidden, w = _weigh(model, emb)
+    return emb, logits, hidden, w, _softmax_rows(w[:, None] * logits)
 
 
 def row_max(z: np.ndarray) -> np.ndarray:
@@ -172,10 +172,10 @@ def forward_batch(
         raise ConfigurationError(
             f"batch shape {features.shape} incompatible with input dim {model.input_dim}"
         )
-    _, emb, logits = _encode(model, features)
+    emb, logits = _encode(model, features)
     out = {"logits": logits}
     if "weight" in outputs or "weighted_probs" in outputs:
-        w = out["weight"] = _weigh(model, emb)[2]
+        w = out["weight"] = _weigh(model, emb)[1]
         if "weighted_probs" in outputs:
             out["weighted_probs"] = _softmax_rows(w[:, None] * logits)
     if "probs" in outputs:
@@ -212,7 +212,7 @@ def backward_batch(
     n = features.shape[0]
     cls, hid, out = model.classifier, model.wb_hidden, model.wb_out
     g_enc_w, g_enc_b, g_cls_w, g_cls_b, g_hid_w, g_hid_b, g_out_w, g_out_b = model._grads
-    pre_emb, emb, logits, pre_hid, hidden, w, wp = _forward(model, features)
+    emb, logits, hidden, w, wp = _forward(model, features)
 
     # Each row's label prob, by its position in the flattened softmax; the
     # loss is the mean of -log p, and `0.0 -` keeps an all-zero sum +0.0.
@@ -238,12 +238,12 @@ def backward_batch(
     np.matmul(d_pre_sig, hidden, out=g_out_w[0])
     np.add.reduce(d_pre_sig, 0, out=g_out_b, keepdims=True)
     d_pre_hid = np.multiply.outer(d_pre_sig, out.weight[0])
-    d_pre_hid *= pre_hid > 0
+    d_pre_hid *= hidden > 0
     np.matmul(d_pre_hid.T, emb, out=g_hid_w)
     np.add.reduce(d_pre_hid, 0, out=g_hid_b)
     d_emb += d_pre_hid @ hid.weight
 
-    d_pre_emb = np.multiply(d_emb, pre_emb > 0, out=d_emb)
+    d_pre_emb = np.multiply(d_emb, emb > 0, out=d_emb)
     np.matmul(d_pre_emb.T, features, out=g_enc_w)
     np.add.reduce(d_pre_emb, 0, out=g_enc_b)
 

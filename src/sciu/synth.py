@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, QUALITY_CLEAN, QUALITY_CODES, QUALITY_LOW
-from .errors import ValidationError
+from .errors import ValidationError, check_field_types
 
 
 @dataclass
@@ -33,6 +33,7 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_field_types(self, ValidationError)
         if self.n_classes < 2:
             raise ValidationError("need at least 2 classes")
         if self.dim < 1 or self.per_class < 1:

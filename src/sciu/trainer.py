@@ -21,7 +21,7 @@ import numpy as np
 from . import cgp as cgp_mod
 from . import fgc as fgc_mod
 from .dataset import Dataset
-from .errors import ConfigurationError, DegenerateRunError, NumericError
+from .errors import ConfigurationError, DegenerateRunError, NumericError, check_field_types
 from .metrics import ConfusionMatrix, uar, war
 from .model import SciuModel, backward_batch, forward_batch, init_model
 
@@ -58,6 +58,7 @@ class TrainConfig:
     hidden_dim: int = 4
 
     def validate(self) -> None:
+        check_field_types(self, ConfigurationError)
         if self.window_t < 1:
             raise ConfigurationError("window_t must be >= 1")
         if self.epochs <= self.warmup_epochs + self.window_t:
@@ -118,10 +119,10 @@ def run_epoch(
     """One pass of minibatch SGD, then an evaluation forward of `outputs`
     over the whole (active) dataset with the updated parameters.
 
-    The rows are gathered into shuffled order once; each minibatch is a
-    slice of them, and one momentum step on `model.flat` (with `velocity`
-    of the same layout) updates every layer: `nn_core.sgd_momentum_step`'s
-    arithmetic, less the checks `TrainConfig.validate` has already made.
+    Each minibatch is a slice of the rows gathered once in shuffled order,
+    freed before the evaluation; one momentum step on `model.flat` (with
+    `velocity` of the same layout) updates every layer: the arithmetic of
+    `nn_core.sgd_momentum_step`, less the checks `TrainConfig.validate` made.
 
     Returns (mean batch loss, eval outputs aligned with dataset order).
     """
@@ -149,8 +150,8 @@ def run_epoch(
         model.flat -= lr * velocity
         losses.append(loss)
 
-    eval_out = forward_batch(model, feats, outputs)
-    return float(np.mean(losses)), eval_out
+    del shuffled, labels  # not held through the evaluation forward
+    return float(np.mean(losses)), forward_batch(model, feats, outputs)
 
 
 def evaluate(model: SciuModel, dataset: Dataset):

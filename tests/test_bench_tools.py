@@ -1,7 +1,7 @@
 """The benchmark's tools against this package: every name the tracer wraps
 (`perfbench/tracer.py`'s `WRAPPED`) exists, so a traced run can patch it; and
 `tools/bench_pairs.py` records each checkout's directory depth and warns when
-the two differ.
+the two differ, and gives each metric its gain and bound verdicts.
 
 Both scripts are loaded from their files; neither is a package.
 """
@@ -50,3 +50,34 @@ def test_bench_pairs_records_depths(tmp_path, monkeypatch, capsys, change_dir, w
     assert ("different directory depths" in capsys.readouterr().err) == warned
     checkouts = json.loads(out.read_text())["checkouts"]
     assert checkouts["change"]["depth"] - checkouts["parent"]["depth"] == warned
+
+
+
+# A parent whose median is 100, with q1 99.25 and q3 100.75: an IQR of 1.5.
+PARENT = [98, 99, 99, 100, 100, 100, 100, 101, 101, 102]
+
+
+@pytest.mark.parametrize("better, change, verdict", [
+    ("lower", [p - 3 for p in PARENT], "better 10/10  gain holds  worse than bound no"),
+    # 9 of 10 pairs better, but the medians differ by 1, less than the IQR.
+    ("lower", [p - 1 for p in PARENT[:9]] + [103], "better 9/10  gain no  worse than bound no"),
+    # Better by 3 in 8 of 10 pairs only.
+    ("lower", [p - 3 for p in PARENT[:8]] + [102, 103],
+     "better 8/10  gain no  worse than bound no"),
+    # Worse by 6, against a bound of 5 % of the parent's median.
+    ("lower", [p + 6 for p in PARENT], "better 0/10  gain no  worse than bound yes"),
+    ("higher", [p + 6 for p in PARENT], "better 10/10  gain holds  worse than bound no"),
+    # A parent IQR of 45 is wider than 5 % of its median: unresolved.
+    ("lower", list(range(66, 166, 10)), "better 0/10  gain no  worse than bound unresolved"),
+])
+def test_bench_pairs_verdicts(capsys, better, change, verdict):
+    bench_pairs = load(ROOT / "tools" / "bench_pairs.py")
+    parent = list(range(60, 160, 10)) if verdict.endswith("unresolved") else PARENT
+    runs = [{"workload": "w", "seed": k, "side": side,
+             "result": {"correct": True, "attempted": 3,
+                        "metrics": {"test_war_true": {"value": 0.5}, "m": {"value": v}}}}
+            for k, pair in enumerate(zip(parent, change))
+            for side, v in zip(("parent", "change"), pair)]
+    bench_pairs.summarise(runs, "w", [{"name": "m", "better": better, "bound": 0.05}])
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("  m "))
+    assert line.endswith("change " + verdict), line

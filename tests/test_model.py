@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,22 @@ class TestForward:
         with pytest.raises(ConfigurationError):
             forward_batch(m, np.zeros((4, 5)))
 
+    def test_probs_memory_is_bounded_by_the_embedding_and_two_logit_blocks(self):
+        # 20,000 rows, 16 features and embedding units, 7 classes: the
+        # embedding is 2.44 MiB and a logit block 1.07 MiB. The probs
+        # overwrite the logits, and the row max reads one transposed copy of
+        # them; a kept pre-activation array raises the peak to 7.2 MiB.
+        n, embed, k = 20_000, 16, 7
+        m = init_model(16, embed, 4, k, seed=0)
+        feats = np.random.default_rng(0).standard_normal((n, 16))
+        tracemalloc.start()
+        try:
+            forward_batch(m, feats, ("probs",))
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < (n * embed + 2 * n * k) * 8 / 2**20 + 0.5, peak
+
 
 class TestWceLoss:
     """`batch_loss`: cross-entropy on the weight-scaled logits."""
@@ -271,14 +288,26 @@ class TestBackward:
         _, loss = backward_batch(m, feats, labels)
         assert loss == pytest.approx(batch_loss(m, feats, labels), abs=1e-12)
 
-    # (rows, classes, weight-branch output bias) per seed. 16 rows is the
-    # ragged last minibatch of a 3,920-row epoch; 23 classes take numpy's
-    # pairwise sum along the class axis; a bias of +40 saturates w to 1.0,
-    # so 1 - w is 0, and -40 drives w towards 0.
+    def test_relu_mask_of_the_activation_is_that_of_its_input(self):
+        # `backward_batch` masks on the activation max(y, 0) > 0, the
+        # reference on y > 0. A product of BLAS gives +0.0 at a zero weight
+        # row whatever the signs, so -0.0 and NaN are checked here.
+        y = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0])
+        np.testing.assert_array_equal(np.maximum(y, 0.0) > 0, y > 0)
+
+    # (rows, classes, weight-branch output bias, at the ReLU kink) per seed.
+    # 16 rows is the ragged last minibatch of a 3,920-row epoch; 23 classes
+    # take numpy's pairwise sum along the class axis; a bias of +40 saturates
+    # w to 1.0, so 1 - w is 0, and -40 drives w towards 0. At the kink, zero
+    # weight rows and +0.0/-0.0 biases make half the encoder's and hidden
+    # layer's pre-activations exactly zero, where the ReLU mask the reference
+    # takes from them and the one `backward_batch` takes from the activations
+    # must agree.
     BITS_CASES = [
-        (1, 7, None), (7, 7, None), (64, 7, None), (64, 7, None), (33, 7, None),
-        (16, 7, None), (64, 2, None), (16, 2, None), (64, 23, None), (1, 23, None),
-        (64, 7, 40.0), (16, 7, -40.0), (1, 2, 40.0), (33, 23, -40.0),
+        (1, 7, None, False), (7, 7, None, False), (64, 7, None, False), (64, 7, None, False),
+        (33, 7, None, False), (16, 7, None, False), (64, 2, None, False), (16, 2, None, False),
+        (64, 23, None, False), (1, 23, None, False), (64, 7, 40.0, False), (16, 7, -40.0, False),
+        (1, 2, 40.0, False), (33, 23, -40.0, False), (64, 7, None, True),
     ]
 
     @pytest.mark.parametrize("seed", range(len(BITS_CASES)))
@@ -286,12 +315,20 @@ class TestBackward:
         # Training reports stay byte-identical only if the shared forward
         # and in-place gradient writes keep every float operation, so the
         # bytes are compared: an equality check takes -0.0 for 0.0.
-        n, k, bias = self.BITS_CASES[seed]
+        n, k, bias, kink = self.BITS_CASES[seed]
         rng = np.random.default_rng(seed)
         m = init_model(16, 16, 4, k, seed=seed)
         if bias is not None:
             m.wb_out.bias[:] = bias
         feats = rng.standard_normal((n, 16)) * 3.0
+        if kink:
+            for layer in (m.encoder, m.wb_hidden):
+                layer.weight[::2] = 0.0
+                layer.bias[::2] = np.resize([0.0, -0.0], layer.bias[::2].shape)
+            pre_emb = linear_forward(m.encoder, feats)
+            pre_hid = linear_forward(m.wb_hidden, relu(pre_emb))
+            assert not pre_emb[:, ::2].any() and not pre_hid[:, ::2].any()
+            assert pre_emb[:, 1::2].all() and pre_hid[:, 1::2].all()
         labels = rng.integers(0, k, n)
         grads, loss = backward_batch(m, feats, labels)
         want, want_loss = reference_backward(m, feats, labels)

@@ -79,6 +79,11 @@ class TestRunPipeline:
         with pytest.raises(ConfigurationError):
             run_pipeline(small_config(), noisy_dataset, "other")
 
+    @pytest.mark.parametrize("field, value", [("epochs", 20.5), ("train_fraction", True)])
+    def test_wrongly_typed_field_rejected(self, noisy_dataset, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be "):
+            run_pipeline(small_config(**{field: value}), noisy_dataset, "baseline")
+
     def test_report_round_trip(self, noisy_dataset, tmp_path):
         report = run_pipeline(small_config(), noisy_dataset, "baseline")
         path = write_report(report, tmp_path)
@@ -148,6 +153,10 @@ class TestSweep:
     def test_unknown_parameter(self, noisy_dataset):
         with pytest.raises(ConfigurationError):
             sweep(small_config(), "gamma", [0.1], noisy_dataset)
+
+    def test_wrongly_typed_value_rejected(self, noisy_dataset):
+        with pytest.raises(ConfigurationError, match="^window_t must be int, not float$"):
+            sweep(small_config(), "window", [2.5], noisy_dataset)
 
 
 class TestCli:

@@ -30,6 +30,13 @@ class TestSynthConfig:
         with pytest.raises(ValidationError, match=field):
             SynthConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("per_class", 20.0), ("n_classes", np.int64(3)), ("seed", True), ("mislabel_rate", "0.1"),
+    ])
+    def test_wrongly_typed_field_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be (int|float), not "):
+            generate(SynthConfig(**{field: value}))
+
 
 class TestGenerate:
     def test_no_noise_case(self):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -66,6 +67,21 @@ class TestTrainConfig:
     def test_learning_rate_must_be_finite_and_non_negative(self, value):
         with pytest.raises(ConfigurationError, match="learning_rate"):
             TrainConfig(learning_rate=value).validate()
+
+    # A value of the wrong type raised a raw TypeError from deep in a run, or
+    # (a numpy integer) ran and then failed to serialize in the report.
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 20.5), ("batch_size", 8.0), ("seed", 1.5), ("lam", "0.5"),
+        ("window_t", np.int64(3)), ("epochs", True), ("tau", False), ("momentum", np.int64(0)),
+        ("score_source", 1),
+    ])
+    def test_wrongly_typed_field_rejected(self, field, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"^{field} must be (int|float|str), not {type(value).__name__}$"):
+            TrainConfig(**{field: value}).validate()
+
+    def test_float_field_takes_an_int_or_a_float_subclass(self):
+        TrainConfig(learning_rate=0, momentum=np.float64(0.5)).validate()
 
 
 class TestPlainStage:
@@ -265,6 +281,30 @@ class TestRunEpoch:
             for key in OUTPUTS:
                 assert out[key].tobytes() == want[key].tobytes(), key
         assert velocities[0].any()
+
+    def test_shuffled_block_is_freed_before_the_evaluation(self):
+        # 20,000 rows of 16 features: the shuffled block is 2.44 MiB. With
+        # 64-row minibatches, the epoch's peak is the evaluation forward's,
+        # plus the shuffle order (0.15 MiB); holding the block through the
+        # forward adds 2.6 MiB to it.
+        n, k = 20_000, 7
+        rng = np.random.default_rng(0)
+        ds = Dataset(np.arange(n, dtype=np.int64), rng.standard_normal((n, 16)),
+                     rng.integers(0, k, n), np.full(n, -1, dtype=np.int64),
+                     np.full(n, -1, dtype=np.int8), n_classes=k, dim=16)
+        cfg, outputs = TrainConfig(), ("probs", "weight")
+        model = init_model(ds.dim, cfg.embed_dim, cfg.hidden_dim, k, cfg.seed)
+        peaks = []
+        for call in (lambda: trainer.run_epoch(model, ds, cfg, np.zeros_like(model.flat), 0,
+                                               outputs),
+                     lambda: forward_batch(model, ds.features_matrix(), outputs)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1] + 0.5 * n * 16 * 8 / 2**20, peaks
 
 
 class TestSaturation:

@@ -10,13 +10,14 @@ the change first on odd ones, so that a drift in machine speed falls on
 both sides alike. It prints each side's median number of attempted
 operations; in how many of the pairs whose sides attempted the same
 operations both sides read the same `test_war_true`; and, per end-to-end
-metric, each side's median [q1, q3] over the pairs and in how many pairs the
-change was better. It writes every run's last-line JSON with its seed and
-side, plus nproc, the numpy version and each checkout's commit (and whether
-its tree had uncommitted changes) and directory depth, to `--out`. It warns on
-stderr when the two checkouts sit at different depths: the path a run starts
-from has moved `sciu-run`'s `op_s` by 2.7 %, so compare checkouts made side by
-side.
+metric, each side's median [q1, q3] over the pairs, in how many pairs the
+change was better, whether that is a gain and whether the change is worse
+than the metric's `BENCHMARK.json` bound (see `verdicts`). It writes every
+run's last-line JSON with its seed and side, plus nproc, the numpy version
+and each checkout's commit (and whether its tree had uncommitted changes) and
+directory depth, to `--out`. It warns on stderr when the two checkouts sit at
+different depths: the path a run starts from has moved `sciu-run`'s `op_s` by
+2.7 %, so compare checkouts made side by side.
 """
 
 from __future__ import annotations
@@ -75,13 +76,34 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return med, q1, q3
 
 
+def verdicts(parent: list[float], change: list[float], better: str,
+             bound: float) -> tuple[int, bool, str]:
+    """(wins, gain, worse) over the pairs (parent[i], change[i]) of one
+    metric: in how many pairs the change is better, and two verdicts.
+
+    A gain holds when the change is better in at least 9 of 10 pairs and its
+    median beats the parent's by more than the parent's q3 - q1. `worse` is
+    "yes" when the change's median is worse than the parent's by more than
+    `bound` times the parent's median, else "no"; it is "unresolved" when the
+    parent's q3 - q1 alone is wider than that, so the runs cannot tell.
+    """
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    (p_med, q1, q3), c_med = quartiles(parent), quartiles(change)[0]
+    gain = wins >= 0.9 * len(parent) and sign * (c_med - p_med) > q3 - q1
+    limit = bound * abs(p_med)
+    if q3 - q1 > limit:
+        return wins, gain, "unresolved"
+    return wins, gain, "yes" if sign * (p_med - c_med) > limit else "no"
+
+
 def summarise(runs: list[dict], workload: str, metrics: list[dict]) -> None:
     """Print each side's median attempted operations and, per metric, its
-    median [q1, q3] and the change's wins. `test_war_true` is a median over
-    the operations a run attempted, each on its own pipeline seed, so pairs
-    whose sides attempted different numbers of operations are counted, and
-    of the others, those whose sides agree on it: all of them, for a change
-    that keeps every report byte-identical."""
+    median [q1, q3] and the change's wins and `verdicts`. `test_war_true` is
+    a median over the operations a run attempted, each on its own pipeline
+    seed, so pairs whose sides attempted different numbers of operations are
+    counted, and of the others, those whose sides agree on it: all of them,
+    for a change that keeps every report byte-identical."""
     by_seed = {}
     for r in runs:
         if r["workload"] == workload and r["result"].get("correct"):
@@ -100,13 +122,13 @@ def summarise(runs: list[dict], workload: str, metrics: list[dict]) -> None:
     for m in metrics if pairs else []:
         name = m["name"]
         side = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in SIDES}
-        sign = 1 if m["better"] == "higher" else -1
-        wins = sum(sign * (c - p) > 0 for p, c in zip(side["parent"], side["change"]))
         cells = "  ".join("{} {:.4g} [{:.4g}, {:.4g}]".format(s, *quartiles(side[s]))
                           for s in SIDES)
+        wins, gain, worse = verdicts(side["parent"], side["change"], m["better"], m["bound"])
         flag = (f"  different operation sets in {differ}/{len(pairs)} pairs"
                 if name == "test_war_true" and differ else "")
-        print(f"  {name:<22} {cells}  change better {wins}/{len(pairs)}{flag}")
+        print(f"  {name:<22} {cells}  change better {wins}/{len(pairs)}  "
+              f"gain {'holds' if gain else 'no'}  worse than bound {worse}{flag}")
     failed = sum(1 for r in runs if r["workload"] == workload and not r["result"].get("correct"))
     if failed:
         print(f"  {failed} runs failed")
