@@ -52,7 +52,6 @@ def test_bench_pairs_records_depths(tmp_path, monkeypatch, capsys, change_dir, w
     assert checkouts["change"]["depth"] - checkouts["parent"]["depth"] == warned
 
 
-
 # A parent whose median is 100, with q1 99.25 and q3 100.75: an IQR of 1.5.
 PARENT = [98, 99, 99, 100, 100, 100, 100, 101, 101, 102]
 

@@ -68,8 +68,8 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError, match="learning_rate"):
             TrainConfig(learning_rate=value).validate()
 
-    # A value of the wrong type raised a raw TypeError from deep in a run, or
-    # (a numpy integer) ran and then failed to serialize in the report.
+    # A wrongly typed value fails here, not as a raw TypeError deep in a run
+    # or (a numpy integer) as a report that cannot be serialized.
     @pytest.mark.parametrize("field, value", [
         ("epochs", 20.5), ("batch_size", 8.0), ("seed", 1.5), ("lam", "0.5"),
         ("window_t", np.int64(3)), ("epochs", True), ("tau", False), ("momentum", np.int64(0)),
