@@ -81,8 +81,8 @@ def record_score(
 ) -> None:
     if sample_id in state.pruned_ids:
         raise LogicError(f"sample {sample_id} is pruned, cannot record a score")
-    if not (0.0 < weight < 1.0):
-        raise ValidationError(f"weight {weight} outside (0, 1)")
+    if not (0.0 <= weight <= 1.0):
+        raise ValidationError(f"weight {weight} outside [0, 1]")
     if not (0.0 <= prob_of_label <= 1.0):
         raise ValidationError(f"prob {prob_of_label} outside [0, 1]")
     state.windows.add(sample_id, weight * prob_of_label)
@@ -114,17 +114,14 @@ def apply_pruning(
 def prune_epoch(state: PruneState, active: Dataset, eval_out: dict, epoch: int, config):
     """Score by `config.score_source`, prune: (active set left, its `eval_out["probs"]` rows)."""
     weights, probs = eval_out["weight"], eval_out["probs"]
-    # The sigmoid of the weight branch saturates to exactly 0.0 or 1.0 in
-    # float64 once its input passes about -745 or 37.
-    bad = ~((weights > 0.0) & (weights < 1.0))
-    if bad.any():
-        ids = active.id_array[bad][:5].tolist()
-        raise NumericError(f"weight branch saturated at epoch {epoch}: {int(bad.sum())} weights "
-                           f"non-finite or exactly 0 or 1, first sample ids {ids}")
     if config.score_source == "annotated_class":
         p = probs[np.arange(len(active)), active.labels()]
     else:
         p = row_max(probs)
+    bad = ~np.isfinite(weights * p)
+    if bad.any():
+        raise NumericError(f"non-finite score at epoch {epoch}: {int(bad.sum())} samples, "
+                           f"first sample ids {active.id_array[bad][:5].tolist()}")
     for sid, w, pl in zip(active.ids, weights.tolist(), p.tolist()):
         record_score(state, sid, w, pl, epoch)
     kept, newly = apply_pruning(state, active, epoch)

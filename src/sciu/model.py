@@ -5,7 +5,7 @@ For input features v the model computes
 
     x  = ReLU(W_e v + b_e)                    embedding
     z  = W_c x + b_c                          logits
-    w  = sigmoid(w2 . ReLU(W1 x + b1) + b2)   sample weight in (0, 1)
+    w  = sigmoid(w2 . ReLU(W1 x + b1) + b2)   sample weight in [0, 1]
 
 The training loss is cross-entropy on softmax(w * z); the weight branch is
 trained end-to-end through that scaling. `backward_batch` is the

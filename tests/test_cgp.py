@@ -110,9 +110,17 @@ class TestPruneState:
             record_score(state, 3, 0.5, 0.5, epoch=0)
 
     def test_weight_bounds(self):
+        # The rule reads w only through s = w * p, so w takes [0, 1] as s
+        # does: a float64 sigmoid can round w to exactly 0.0 or 1.0.
         state = PruneState(lam=0.5, window=1)
-        with pytest.raises(ValidationError):
-            record_score(state, 0, 1.0, 0.5, epoch=0)
+        for bad in (1.5, -0.5, np.nan):
+            with pytest.raises(ValidationError):
+                record_score(state, 0, bad, 0.5, epoch=0)
+        assert state.windows.find(np.array([0]))[1].tolist() == [False]
+        record_score(state, 0, 0.0, 0.5, epoch=0)
+        record_score(state, 1, 1.0, 0.5, epoch=0)
+        rows, known = state.windows.find(np.array([0, 1]))
+        assert known.all() and state.windows.mean("scores", rows).tolist() == [0.0, 0.5]
 
 
 class TestApplyPruning:
@@ -281,7 +289,12 @@ class TestPruneEpochMatchesScalarRule:
         window, n = int(rng.integers(1, 4)), 30
         weights = rng.uniform(0.05, 0.95, (window + 3, n))
         probs = rng.dirichlet(np.full(3, 0.7), (window + 3, n))
-        state = self._run(source, 0.2, window, rng.integers(0, 3, n).tolist(), window + 3,
+        labels = rng.integers(0, 3, n).tolist()
+        # A float64 sigmoid can round a weight to exactly 0.0 or 1.0.
+        edge = rng.random(weights.shape) < 0.15
+        weights[edge] = rng.integers(0, 2, int(edge.sum()))
+        assert {0.0, 1.0} <= set(weights.ravel().tolist())
+        state = self._run(source, 0.2, window, labels, window + 3,
                           weights.__getitem__, probs.__getitem__)
         assert 0 < len(state.pruned_ids) < n
 
@@ -306,15 +319,20 @@ class TestPruneEpochMatchesScalarRule:
         assert state.prune_log == [
             {"epoch": window - 1, "sample_id": 10, "S_T": lam, "lambda": lam}]
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, np.nan])
-    def test_saturated_weight_is_numeric_error(self, bad):
-        state = PruneState(lam=0.5, window=2)
-        weights = np.array([0.5, bad, 0.5])
-        with pytest.raises(NumericError, match=r"^weight branch saturated at epoch 7: 1 weights "
-                                               r"non-finite or exactly 0 or 1, first sample ids \[11\]$"):
-            prune_epoch(state, labelled_dataset([0, 1, 2]),
-                        {"weight": weights, "probs": np.full((3, 3), 1 / 3)}, 7, TrainConfig())
-        assert not state.pruned_ids
+    @pytest.mark.parametrize("weight, prob", [(np.nan, 1 / 3), (np.inf, 1 / 3),
+                                              (-np.inf, 1 / 3), (0.5, np.nan)],
+                             ids=["nan-weight", "inf-weight", "-inf-weight", "nan-probs"])
+    def test_non_finite_score_is_numeric_error(self, weight, prob):
+        weights, probs = np.array([0.5, weight, 0.5]), np.full((3, 3), 1 / 3)
+        probs[1] = prob
+        ds = labelled_dataset([0, 1, 2])
+        for source in SCORE_SOURCES:
+            state = PruneState(lam=0.5, window=2)
+            with pytest.raises(NumericError, match=r"^non-finite score at epoch 7: 1 samples, "
+                                                   r"first sample ids \[11\]$"):
+                prune_epoch(state, ds, {"weight": weights, "probs": probs}, 7,
+                            TrainConfig(score_source=source))
+            assert not state.pruned_ids and not state.windows.find(ds.id_array)[1].any()
 
     def test_all_pruned_is_degenerate(self):
         state = PruneState(lam=0.5, window=1)

@@ -136,6 +136,27 @@ class TestRunPipeline:
         run_pipeline(small_config(), noisy_dataset, "baseline")
         assert asked == {("probs",)}
 
+    @pytest.mark.parametrize("mode, corrected, war_true",
+                             [("cgp_only", 0, 0.8643), ("sciu", 459, 0.8704)])
+    def test_weight_of_exactly_one_decides_like_any_other(self, monkeypatch, mode, corrected,
+                                                          war_true):
+        # On dataset seed 1, pipeline seed 1 and lambda 0.5, the float64
+        # sigmoid rounds sample 3993's weight to exactly 1.0 at epoch 38: a
+        # legal weight, so the run ends with a report.
+        ones, prune_epoch = [], trainer.cgp_mod.prune_epoch
+
+        def spy(state, active, eval_out, epoch, config):
+            at_one = eval_out["weight"] == 1.0
+            ones.extend((epoch, i) for i in active.id_array[at_one].tolist())
+            return prune_epoch(state, active, eval_out, epoch, config)
+
+        monkeypatch.setattr(trainer.cgp_mod, "prune_epoch", spy)
+        report = run_pipeline(PipelineConfig(seed=1, lam=0.5), generate(SynthConfig(seed=1)),
+                              mode)
+        assert ones == [(38, 3993)]
+        assert (report["pruned_total"], report["corrected_total"]) == (792, corrected)
+        assert round(report["final_test"]["war_true"], 4) == war_true
+
 
 class TestSweep:
     def test_single_value_single_row(self, noisy_dataset):
@@ -212,17 +233,34 @@ class TestCli:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
-    def test_run_saturated_weights_exit_4(self, tmp_path, capsys):
-        # At learning rate 5 the weight branch's sigmoid saturates to
-        # exactly 0.0 or 1.0: a numeric failure, not a usage error.
+    def test_run_saturated_weights_exit_3(self, tmp_path, capsys):
+        # At learning rate 5 the weight branch's sigmoid rounds 550 weights
+        # to exactly 0.0 by epoch 5: legal weights, whose scores all sit at
+        # or below lambda, so everything is pruned.
         data = tmp_path / "d.jsonl"
         assert main(["generate", "--out", str(data), "--per-class", "100"]) == 0
         code = main([
             "run", "--dataset", str(data), "--mode", "cgp", "--learning-rate", "5.0",
-            "--epochs", "25", "--warmup-epochs", "5",
+            "--epochs", "25", "--warmup-epochs", "5", "--out-dir", str(tmp_path / "run"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: all samples pruned") and "Traceback" not in err
+
+    def test_run_non_finite_score_exit_4(self, tmp_path, capsys):
+        # One step at learning rate 1e300 makes every class probability NaN:
+        # a numeric failure, not a usage error.
+        data = tmp_path / "d.jsonl"
+        assert main(["generate", "--out", str(data), "--per-class", "100"]) == 0
+        code = main([
+            "run", "--dataset", str(data), "--mode", "cgp", "--learning-rate", "1e300",
+            "--batch-size", "10000", "--warmup-epochs", "0", "--window", "1", "--epochs", "3",
+            "--out-dir", str(tmp_path / "run"),
         ])
         assert code == 4
-        assert "saturated at epoch 5" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: non-finite score at epoch 0: 561 samples, "
+                                    "first sample ids [1, 2, 3, 4, 5]"]
 
     def test_sweep_cli(self, dataset_file, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

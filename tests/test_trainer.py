@@ -308,8 +308,31 @@ class TestRunEpoch:
 
 
 class TestSaturation:
-    def test_saturated_weight_is_numeric_error(self):
+    def test_saturated_weights_decide_like_any_other(self, monkeypatch):
+        # At learning rate 5 the weight branch's sigmoid rounds most weights
+        # to exactly 0.0 by epoch 5. Such a weight is legal: every score
+        # w * p stays at or below lambda, so the stage prunes everything
+        # once the first window fills.
         ds = generate(SynthConfig(per_class=100, seed=0))
         cfg = TrainConfig(learning_rate=5.0, epochs=25, warmup_epochs=5)
-        with pytest.raises(NumericError, match="epoch 5: .*sample ids \\["):
+        zeros, prune_epoch = {}, trainer.cgp_mod.prune_epoch
+
+        def spy(state, active, eval_out, epoch, config):
+            zeros[epoch] = int((eval_out["weight"] == 0.0).sum())
+            return prune_epoch(state, active, eval_out, epoch, config)
+
+        monkeypatch.setattr(trainer.cgp_mod, "prune_epoch", spy)
+        with pytest.raises(DegenerateRunError, match="^all samples pruned"):
+            train_stage(ds, cfg, "cgp")
+        assert list(zeros) == [5, 6, 7] and zeros[5] > len(ds) // 2
+
+    def test_non_finite_score_is_numeric_error(self):
+        # One step at learning rate 1e300 leaves every weight finite (0.0)
+        # and every class probability NaN: the score w * p is what fails.
+        ds = generate(SynthConfig(per_class=100, seed=0))
+        cfg = TrainConfig(learning_rate=1e300, batch_size=10_000, epochs=3, warmup_epochs=0,
+                          window_t=1)
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericError, match=r"^non-finite score at epoch 0: 700 samples, "
+                                    r"first sample ids \[0, 1, 2, 3, 4\]$"):
             train_stage(ds, cfg, "cgp")

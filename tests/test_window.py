@@ -135,12 +135,16 @@ def test_recorded_row_is_copied():
 
 def test_checks_run_at_call_time():
     prune = PruneState(lam=0.5, window=2)
-    with pytest.raises(ValidationError):
-        record_score(prune, 0, 1.0, 0.5, 0)
+    for weight in (1.5, -0.5):
+        with pytest.raises(ValidationError):
+            record_score(prune, 0, weight, 0.5, 0)
     correct = CorrectionState(tau=0.2, window=2, n_classes=2)
     with pytest.raises(ValidationError):
         record_prediction(correct, 0, np.array([0.5, 0.5]), 2, 0)
     assert count(prune.windows, 0) == count(correct.windows, 0) == 0
+    record_score(prune, 0, 0.0, 0.5, 0)
+    record_score(prune, 1, 1.0, 0.5, 0)
+    assert count(prune.windows, 0) == count(prune.windows, 1) == 1
 
 
 class TestPush:

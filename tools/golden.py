@@ -16,16 +16,22 @@ line per output:
   its 4 cells, caught at `pipeline.run_pipeline` as the sweep calls it (a
   stage the sweep shares between cells must leave every cell's report as
   an unshared run writes it);
-- last, a small 10-class dataset (`TEN_CLASSES`) as the first item prints
+- a small 10-class dataset (`TEN_CLASSES`) as the first item prints
   it, then its `report_to_json` text in every mode for pipeline seeds 0
   and 1: 8 reports. numpy sums a row of 8 or more classes pairwise, so a
   change that keeps every 7-class digest can still change these;
 - the `--help` text of `sciu` and of each subcommand, from `build_parser()`
-  with `COLUMNS=80`: argparse wraps help to the terminal width.
+  with `COLUMNS=80`: argparse wraps help to the terminal width;
+- last, the `report_to_json` text of the λ 0.5, pipeline seed 1 runs on
+  dataset seed 1 in `cgp_only` and `sciu` mode: 2 reports. Sample 3993's
+  weight rounds to exactly 1.0 at epoch 38 there, and is scored and decided
+  like any other weight.
 
-Run it on two commits and diff the output. The digests depend on the numpy
-build and the CPU's BLAS kernels, which may differ in the last bit between
-machines, so compare runs made on one machine only.
+Run it on two commits and diff the output; against a commit that prints
+fewer lines, diff its lines with as many first lines of the other. The
+digests depend on the numpy build and the CPU's BLAS kernels, which may
+differ in the last bit between machines, so compare runs made on one
+machine only.
 """
 
 from __future__ import annotations
@@ -68,12 +74,13 @@ def round_trip(config: SynthConfig, name: str):
     return dataset
 
 
-def print_reports(dataset, name: str, seeds) -> None:
-    for mode in MODES:
+def print_reports(dataset, name: str, seeds, modes=MODES, **overrides) -> None:
+    given = "".join(f" {k}={v}" for k, v in overrides.items())
+    for mode in modes:
         for seed in seeds:
-            report = run_pipeline(PipelineConfig(seed=seed), dataset, mode)
+            report = run_pipeline(PipelineConfig(seed=seed, **overrides), dataset, mode)
             print(f"{sha(report_to_json(report).encode())}  report "
-                  f"dataset={name} mode={mode} seed={seed}", flush=True)
+                  f"dataset={name} mode={mode} seed={seed}{given}", flush=True)
 
 
 def print_help_digests() -> None:
@@ -108,6 +115,7 @@ def main() -> None:
               f"mode=sciu dataset=0")
     print_reports(round_trip(TEN_CLASSES, "10-class seed=2"), "10-class", range(2))
     print_help_digests()
+    print_reports(datasets[1], "1", [1], ("cgp_only", "sciu"), lam=0.5)
 
 
 if __name__ == "__main__":
