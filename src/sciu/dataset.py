@@ -1,9 +1,9 @@
 """Datasets as validated columns, plus line-delimited file I/O.
 
 A `Dataset` is built one way: from its `Columns` (ids, features, labels and
-the two oracle columns), validated once. `synth.generate` builds them as
-arrays, `load_dataset` from a file's records; `Sample` is only the row
-type of `Dataset.samples`.
+the two oracle columns), validated once. `synth.generate` and `load_dataset`
+write each sample's values straight into its columns, with no Python object
+per sample; `Sample` is only the row type of `Dataset.samples`.
 
 A dataset file is line-delimited JSON. The first line is a header
 {"format": "sciu-dataset", "n_classes": K, "dim": d}; every following line
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import array
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -81,49 +82,30 @@ _QUALITY_NAMES = {code: name for name, code in QUALITY_CODES.items()}
 _scan = json.JSONDecoder().scan_once  # json.loads' scanner: same settings, no wrappers
 
 
-def _readonly(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
+def _readonly(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
 
 
-def _columns(records: list[tuple], dim: int, path) -> Columns:
-    """The columns of the raw (line, id, features, label, true_label,
-    quality_flag) records `load_dataset` reads from `path`, with None for an
-    absent oracle field.
-
-    Rejects, record by record, what a column could not hold as given: an id,
-    label or true_label not of type `int` (JSON's exact type; an int64 column
-    would truncate 0.5 to 0), a true_label of -1 (which the column reads as
-    absent), a quality flag with no code and a feature vector of the wrong
-    shape; then a value int64 cannot hold, as a `ParseError` naming its line.
-    Value ranges are left to `Dataset.validate`.
-    """
-    for _, sid, features, label, true_label, flag in records:
-        if type(sid) is not int:
-            raise ValidationError(f"sample id {sid!r} is not an integer")
-        if type(label) is not int:
-            raise ValidationError(f"sample {sid}: label {label!r} is not an integer")
-        if true_label is not None and (type(true_label) is not int or true_label == -1):
-            raise ValidationError(f"sample {sid}: true_label {true_label!r} is not a class index")
-        if not isinstance(flag, (str, type(None))) or flag not in QUALITY_CODES:
-            raise ValidationError(f"sample {sid}: unknown quality_flag {flag!r}")
-        if features.shape != (dim,):
-            raise ValidationError(f"sample {sid}: feature dim {features.shape} != ({dim},)")
-    _, ids, rows, labels, true_labels, flags = zip(*records) if records else [()] * 6
-    try:
-        return Columns(
-            np.array(ids, dtype=np.int64),
-            np.stack(rows, dtype=np.float64) if records else np.zeros((0, dim)),
-            np.array(labels, dtype=np.int64),
-            np.array([-1 if t is None else t for t in true_labels], dtype=np.int64),
-            np.array([QUALITY_CODES[q] for q in flags], dtype=np.int8),
-        )
-    except (OverflowError, ValueError) as e:  # e.g. 2**63, or a dim too big for numpy
-        for line, sid, _, label, true_label, _ in records:
-            for field, value in (("id", sid), ("label", label), ("true_label", true_label)):
-                if value is not None and not -(2**63) <= value < 2**63:
-                    raise ParseError(f"{path}:{line}: {field} out of the int64 range") from e
-        raise ValidationError(f"sample id, label or dim out of range: {e}") from e
+def _record_error(sid, label, true_label, flag, shape: tuple,
+                  dim: int) -> Optional[ValidationError]:
+    """The first of a loaded record's values that its column could not hold as given, in
+    the order id, label, true_label, quality_flag, feature shape: an id, label or
+    true_label not of type `int` (JSON's exact type; an int64 column would truncate 0.5 to
+    0), a true_label of -1 (which the column reads as absent), a quality flag with no code
+    and a feature vector of the wrong shape. None when it has none. Value ranges are left
+    to `Dataset.validate`."""
+    if type(sid) is not int:
+        return ValidationError(f"sample id {sid!r} is not an integer")
+    if type(label) is not int:
+        return ValidationError(f"sample {sid}: label {label!r} is not an integer")
+    if true_label is not None and (type(true_label) is not int or true_label == -1):
+        return ValidationError(f"sample {sid}: true_label {true_label!r} is not a class index")
+    if not isinstance(flag, (str, type(None))) or flag not in QUALITY_CODES:
+        return ValidationError(f"sample {sid}: unknown quality_flag {flag!r}")
+    if shape != (dim,):
+        return ValidationError(f"sample {sid}: feature dim {shape} != ({dim},)")
+    return None
 
 
 class Dataset:
@@ -291,10 +273,12 @@ def read_lines(path) -> Iterator[str]:
 def load_dataset(path) -> Dataset:
     """The validated dataset at `path`. Pinned: which error comes first. Line by line, a
     `ParseError` naming `<path>:<line>` for the header, bad JSON, a non-object, non-number
-    features or a missing field, or naming `<path>` for bytes that do not decode; then
-    `_columns`' on the records, each with its line (int64's as a `ParseError` naming it);
-    then `validate`'s. A feature written as -0 (older saves wrote a negative zero so)
-    loads as +0.0."""
+    features or a missing field, or naming `<path>` for bytes that do not decode; then the
+    first record's `_record_error`; then the first id, label or true_label that int64
+    cannot hold, as a `ParseError` naming its line; then `validate`'s. Each record's values
+    go straight into typed columns, its features as float64 (as `np.stack` casts ints), so
+    no per-record object outlives its line. A feature written as -0 (older saves wrote a
+    negative zero so) loads as +0.0."""
     lines = (line.rstrip("\n") for line in read_lines(path))
     if (first := next(lines, None)) is None:
         raise ParseError(f"{path}: empty file, missing header")
@@ -309,7 +293,10 @@ def load_dataset(path) -> Dataset:
             raise ParseError(f"{path}:1: header has no {key!r}")
         if type(header[key]) is not int or header[key] < 0:
             raise ParseError(f"{path}:1: {key} {header[key]!r} is not a non-negative integer")
-    records = []
+    n_classes, dim = header["n_classes"], header["dim"]
+    # int64 ids, labels and true labels, int8 quality codes and float64 feature rows
+    ids, labels, true_labels, quality, rows = (array.array(t) for t in "qqqbd")
+    invalid = overflow = None  # the first `_record_error`; the first int64 overflow
     for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
@@ -328,14 +315,36 @@ def load_dataset(path) -> Dataset:
             features = np.asarray(rec["features"])
             if features.dtype.kind not in "iuf":  # "1.5" would parse as a number
                 raise ValueError(repr(rec["features"])[:80])
-            records.append((lineno, rec["id"], features, rec["label"], rec.get("true_label"),
-                            rec.get("quality_flag")))
+            sid, label = rec["id"], rec["label"]
         except KeyError as e:
             raise ParseError(f"{path}:{lineno}: missing field {e}") from e
         except (TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"{path}:{lineno}: features are not numbers: {e}") from e
-    n_classes, dim = header["n_classes"], header["dim"]
-    return Dataset(*_columns(records, dim, path), n_classes=n_classes, dim=dim)
+        if invalid is None:  # past it, only a later line's `ParseError` can still come first
+            true_label, flag = rec.get("true_label"), rec.get("quality_flag")
+            invalid = _record_error(sid, label, true_label, flag, features.shape, dim)
+        if invalid or overflow:
+            continue
+        try:
+            ids.append(sid)
+            labels.append(label)
+            true_labels.append(-1 if true_label is None else true_label)
+        except OverflowError:
+            field = next(f for f, v in (("id", sid), ("label", label), ("true_label", true_label))
+                         if v is not None and not -(2**63) <= v < 2**63)
+            overflow = ParseError(f"{path}:{lineno}: {field} out of the int64 range")
+            continue
+        quality.append(QUALITY_CODES[flag])
+        rows.frombytes(features.astype(np.float64, copy=False).tobytes())
+    if invalid or overflow:
+        raise invalid or overflow
+    try:  # with no record, a header dim numpy cannot hold is not checked by any row
+        matrix = np.frombuffer(rows).reshape(len(ids), dim) if ids else np.zeros((0, dim))
+    except (OverflowError, ValueError) as e:
+        raise ValidationError(f"dim out of range: {e}") from e
+    return Dataset(np.frombuffer(ids, np.int64), matrix, np.frombuffer(labels, np.int64),
+                   np.frombuffer(true_labels, np.int64), np.frombuffer(quality, np.int8),
+                   n_classes=n_classes, dim=dim)
 
 
 def stratified_split(

@@ -70,8 +70,10 @@ def generate(config: SynthConfig) -> Dataset:
         features = np.empty((n, config.dim))
         true_labels = np.repeat(np.arange(k, dtype=np.int64), config.per_class)
         means /= np.linalg.norm(means, axis=1, keepdims=True)
-        draws = []  # (intensity, low, label) of each sample, in id order
-        for i, c in enumerate(true_labels.tolist()):
+        # Each sample's draws, in id order, go straight into their columns.
+        intensities, lows, labels = np.empty(n), np.empty(n, dtype=bool), np.empty(n, np.int64)
+        for i in range(n):
+            c = i // config.per_class
             # random() takes uniform()'s draw, without its argument handling.
             intensity, roll, label = rng.uniform(lo, hi), rng.random(), c
             low = roll < config.low_quality_rate
@@ -82,8 +84,7 @@ def generate(config: SynthConfig) -> Dataset:
                     label = int(rng.integers(k - 1))
                     label += label >= c  # any class but c
             features[i] = rng.normal(0.0, global_std if low else config.cluster_spread, config.dim)
-            draws.append((intensity, low, label))
-        intensities, lows, labels = (np.array(column) for column in zip(*draws))
+            intensities[i], lows[i], labels[i] = intensity, low, label
         # The signal goes on the clean rows after the noise, one class's rows at a time:
         # IEEE addition commutes, and a low-quality row keeps its noise (and any -0.0).
         for rows, mean, scale, low in zip(features.reshape(k, -1, config.dim), means,

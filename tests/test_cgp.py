@@ -103,6 +103,10 @@ class TestPruneState:
         with pytest.raises(ConfigurationError):
             PruneState(lam=1.0, window=3)
 
+    def test_bad_window(self):
+        with pytest.raises(ConfigurationError, match="^window must be >= 1$"):
+            PruneState(lam=0.5, window=0)
+
     def test_record_after_pruned_raises(self):
         state = PruneState(lam=0.5, window=1)
         state.pruned_ids.add(3)
@@ -121,6 +125,13 @@ class TestPruneState:
         record_score(state, 1, 1.0, 0.5, epoch=0)
         rows, known = state.windows.find(np.array([0, 1]))
         assert known.all() and state.windows.mean("scores", rows).tolist() == [0.0, 0.5]
+
+    def test_prob_bounds(self):
+        state = PruneState(lam=0.5, window=1)
+        for bad in (1.5, np.nan):
+            with pytest.raises(ValidationError, match=f"^prob {bad} outside"):
+                record_score(state, 0, 0.5, bad, epoch=0)
+        assert state.windows.find(np.array([0]))[1].tolist() == [False]
 
 
 class TestApplyPruning:

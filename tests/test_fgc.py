@@ -136,6 +136,10 @@ class TestCorrectionDecision:
         with pytest.raises(ConfigurationError):
             CorrectionState(tau=0.0, window=3, n_classes=4)
 
+    def test_bad_window(self):
+        with pytest.raises(ConfigurationError, match="^window must be >= 1$"):
+            CorrectionState(tau=0.2, window=0, n_classes=4)
+
 
 class TestApplyCorrections:
     def test_nothing_accepted(self):

@@ -175,6 +175,10 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             sweep(small_config(), "gamma", [0.1], noisy_dataset)
 
+    def test_no_values(self, noisy_dataset):
+        with pytest.raises(ConfigurationError, match="^sweep needs at least one value$"):
+            sweep(small_config(), "tau", [], noisy_dataset)
+
     def test_wrongly_typed_value_rejected(self, noisy_dataset):
         with pytest.raises(ConfigurationError, match="^window_t must be int, not float$"):
             sweep(small_config(), "window", [2.5], noisy_dataset)
@@ -412,6 +416,16 @@ class TestCliBoundaries:
         assert code == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_report_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.struct"
+        path.write_text('[{"mode": "sciu"}]')
+        with pytest.raises(SciuError, match=r"list\.struct: not a RunReport$"):
+            load_report(path)
+        code = main(["report", "--report", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: not a RunReport\n"
+        assert not (tmp_path / "o").exists()
+
     def test_report_without_sections(self, bad_report, tmp_path, capsys):
         code = main(["report", "--report", str(bad_report), "--out-dir", str(tmp_path / "o")])
         err = capsys.readouterr().err
@@ -445,6 +459,8 @@ class TestCliBoundaries:
          "learning_rate"),
         (["run", "--dataset", "{data}", "--mode", "baseline", "--learning-rate", "inf"],
          "learning_rate"),
+        (["run", "--dataset", "{data}", "--mode", "baseline", "--train-fraction", "nan"],
+         "train_fraction"),
     ])
     def test_bad_value_is_a_usage_error(self, dataset_file, tmp_path, capsys, argv, field):
         argv = [a.format(data=dataset_file) for a in argv]

@@ -50,6 +50,10 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError):
             TrainConfig(score_source="nope").validate()
 
+    def test_bad_prob_source(self):
+        with pytest.raises(ConfigurationError, match="^unknown prob_source 'nope'$"):
+            TrainConfig(prob_source="nope").validate()
+
     @pytest.mark.parametrize("field", ["batch_size", "embed_dim", "hidden_dim"])
     def test_sizes_must_be_positive(self, field):
         with pytest.raises(ConfigurationError, match=field):
@@ -111,6 +115,14 @@ class TestPlainStage:
     def test_unknown_stage(self):
         with pytest.raises(ConfigurationError):
             train_stage(two_class_toy(), small_config(), "magic")
+
+    def test_zero_dim_dataset(self):
+        n = 4
+        ds = Dataset(np.arange(n, dtype=np.int64), np.zeros((n, 0)), np.arange(n) % 2,
+                     np.full(n, -1, dtype=np.int64), np.full(n, -1, dtype=np.int8),
+                     n_classes=2, dim=0)
+        with pytest.raises(ConfigurationError, match="^dataset dim must be positive$"):
+            train_stage(ds, small_config(), "plain")
 
     def test_empty_dataset(self):
         with pytest.raises(DegenerateRunError):
