@@ -118,9 +118,9 @@ class TestPlainStage:
 
     def test_zero_dim_dataset(self):
         n = 4
-        ds = Dataset(np.arange(n, dtype=np.int64), np.zeros((n, 0)), np.arange(n) % 2,
-                     np.full(n, -1, dtype=np.int64), np.full(n, -1, dtype=np.int8),
-                     n_classes=2, dim=0)
+        ids = np.arange(n, dtype=np.int64)
+        ds = Dataset(ids, np.zeros((n, 0)), ids % 2, np.full(n, -1, dtype=np.int64),
+                     np.full(n, -1, dtype=np.int8), n_classes=2, dim=0)
         with pytest.raises(ConfigurationError, match="^dataset dim must be positive$"):
             train_stage(ds, small_config(), "plain")
 
