@@ -16,6 +16,11 @@ compute every layer with the same float operations; `forward_batch` skips
 those its caller does not ask for. A minibatch is ~60 numpy calls, more
 dispatch than flops, so the layers call ufuncs and write in place, bit for bit:
 a ReLU on its layer's output, the backward's masks on max(y, 0) > 0 (iff y > 0).
+For the same reason the step passes numpy 0-d float64 arrays (`_ZERO`, `_ONE`,
+`_EPS`), not Python scalars, which numpy converts on every call; under NEP 50
+both promote alike. The backward's six products call `np.dot`, which makes the
+same BLAS calls as `@` at less dispatch. `_linear` keeps `@`: on the
+evaluation forward's thousands of rows `np.dot` is slower.
 
 Parameters live in one contiguous float64 vector, `model.flat`: the eight
 arrays of `parameters()` one after another, in that order, each row-major.
@@ -33,6 +38,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .nn_core import LinearLayer
+
+_ZERO, _ONE, _EPS = np.array(0.0), np.array(1.0), np.array(1e-12)
 
 
 @dataclass
@@ -107,7 +114,9 @@ def init_model(
             wb_out=layer(1, hidden_dim, zero_bias=True),
         )
     except (ValueError, MemoryError) as e:  # a layer numpy cannot allocate
-        raise ConfigurationError(f"cannot build a model of {n_classes!r:.80} classes: {e}") from e
+        dims = f"{input_dim!r:.80}, {embed_dim!r:.80}, {hidden_dim!r:.80}"
+        raise ConfigurationError(f"cannot build a model with input, embed and hidden dims {dims} "
+                                 f"and {n_classes!r:.80} classes: {e}") from e
 
 
 def _linear(x: np.ndarray, layer: LinearLayer) -> np.ndarray:
@@ -120,19 +129,19 @@ def _linear(x: np.ndarray, layer: LinearLayer) -> np.ndarray:
 def _encode(model: SciuModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
     """Encoder and classifier over a float64 batch: (emb, logits)."""
     emb = _linear(x, model.encoder)
-    np.maximum(emb, 0.0, out=emb)
+    np.maximum(emb, _ZERO, out=emb)
     return emb, _linear(emb, model.classifier)
 
 
 def _weigh(model: SciuModel, emb: np.ndarray) -> tuple[np.ndarray, ...]:
     """Weight branch over the embeddings: (hidden, (n,) weights w)."""
     hidden = _linear(emb, model.wb_hidden)
-    np.maximum(hidden, 0.0, out=hidden)
+    np.maximum(hidden, _ZERO, out=hidden)
     pre_sig = _linear(hidden, model.wb_out)[:, 0]
     # Stable sigmoid: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below; with e in
     # [0, 1], the numerator max(e, x >= 0) is 1 or e.
     e = np.exp(-np.abs(pre_sig))
-    return hidden, np.maximum(e, pre_sig >= 0) / (1.0 + e)
+    return hidden, np.maximum(e, pre_sig >= _ZERO) / (_ONE + e)
 
 
 def _forward(model: SciuModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -218,33 +227,33 @@ def backward_batch(
     # loss is the mean of -log p, and `0.0 -` keeps an all-zero sum +0.0.
     at_label = np.arange(0, wp.size, wp.shape[1]) + labels
     p_label = wp.reshape(-1)[at_label]
-    loss = 0.0 - float(np.add.reduce(np.log(np.maximum(p_label, 1e-12)))) / n
+    loss = 0.0 - float(np.add.reduce(np.log(np.maximum(p_label, _EPS)))) / n
 
     # d(mean loss)/d(weighted logits) = (softmax - onehot)/n, in place on wp
     d_m = wp
-    d_m.reshape(-1)[at_label] = p_label - 1.0
-    d_m /= n
+    d_m.reshape(-1)[at_label] = p_label - _ONE
+    d_m /= np.array(n, dtype=np.float64)
 
     d_logits = w[:, None] * d_m
     logits *= d_m
     d_w = np.add.reduce(logits, 1)
 
-    np.matmul(d_logits.T, emb, out=g_cls_w)
+    np.dot(d_logits.T, emb, out=g_cls_w)
     np.add.reduce(d_logits, 0, out=g_cls_b)
-    d_emb = d_logits @ cls.weight
+    d_emb = np.dot(d_logits, cls.weight)
 
     d_pre_sig = d_w * w
-    d_pre_sig *= 1.0 - w
-    np.matmul(d_pre_sig, hidden, out=g_out_w[0])
+    d_pre_sig *= _ONE - w
+    np.dot(d_pre_sig, hidden, out=g_out_w[0])
     np.add.reduce(d_pre_sig, 0, out=g_out_b, keepdims=True)
     d_pre_hid = np.multiply.outer(d_pre_sig, out.weight[0])
-    d_pre_hid *= hidden > 0
-    np.matmul(d_pre_hid.T, emb, out=g_hid_w)
+    d_pre_hid *= hidden > _ZERO
+    np.dot(d_pre_hid.T, emb, out=g_hid_w)
     np.add.reduce(d_pre_hid, 0, out=g_hid_b)
-    d_emb += d_pre_hid @ hid.weight
+    d_emb += np.dot(d_pre_hid, hid.weight)
 
-    d_pre_emb = np.multiply(d_emb, emb > 0, out=d_emb)
-    np.matmul(d_pre_emb.T, features, out=g_enc_w)
+    d_pre_emb = np.multiply(d_emb, emb > _ZERO, out=d_emb)
+    np.dot(d_pre_emb.T, features, out=g_enc_w)
     np.add.reduce(d_pre_emb, 0, out=g_enc_b)
 
     return list(model._grads), loss

@@ -247,6 +247,8 @@ def sweep(
     attr = SWEEP_PARAMS[parameter]
     if seeds is None:
         seeds = [config.seed]
+    if len(seeds) < 1:
+        raise ConfigurationError("sweep needs at least one seed")
     if not isinstance(dataset, Dataset):
         dataset = load_dataset(dataset)
 

@@ -122,7 +122,8 @@ def run_epoch(
     Each minibatch is a slice of the rows gathered once in shuffled order,
     freed before the evaluation; one momentum step on `model.flat` (with
     `velocity` of the same layout) updates every layer: the arithmetic of
-    `nn_core.sgd_momentum_step`, less the checks `TrainConfig.validate` made.
+    `nn_core.sgd_momentum_step`, less the checks `TrainConfig.validate` made,
+    with `lr` and `momentum` held as 0-d float64 arrays (see `model`).
 
     Returns (mean batch loss, eval outputs aligned with dataset order).
     """
@@ -134,7 +135,8 @@ def run_epoch(
     shuffled = feats[order]
     labels = dataset.labels()[order]
 
-    lr, momentum, size = config.learning_rate, config.momentum, config.batch_size
+    lr, momentum = (np.array(v, dtype=np.float64) for v in (config.learning_rate, config.momentum))
+    size = config.batch_size
     losses = []
     for start in range(0, len(order), size):
         stop = start + size

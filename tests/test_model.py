@@ -173,7 +173,7 @@ class TestForward:
             assert out["weight"][i] == pytest.approx(single["weight"])
 
     @pytest.mark.parametrize("n,dim,k", [(1, 16, 7), (7, 16, 7), (64, 16, 7), (33, 5, 3),
-                                         (300, 3, 2)])
+                                         (300, 3, 2), (3919, 16, 7)])
     def test_bits_match_layerwise_reference(self, n, dim, k):
         # Reports stay byte-identical only if the shared forward keeps every
         # float operation of the layer-by-layer one, whichever outputs a
@@ -395,7 +395,9 @@ class TestFlatLayout:
 class TestInit:
     @pytest.mark.parametrize("embed,n_classes", [(4, 2**70), (-1, 3)])
     def test_unbuildable_sizes_raise_configuration_error(self, embed, n_classes):
-        with pytest.raises(ConfigurationError, match=f"model of {n_classes} classes"):
+        want = (f"^cannot build a model with input, embed and hidden dims 2, {embed}, 2 "
+                f"and {n_classes} classes: ")
+        with pytest.raises(ConfigurationError, match=want):
             init_model(2, embed, 2, n_classes, seed=0)
 
     def test_same_seed_identical(self):

@@ -179,6 +179,10 @@ class TestSweep:
         with pytest.raises(ConfigurationError, match="^sweep needs at least one value$"):
             sweep(small_config(), "tau", [], noisy_dataset)
 
+    def test_no_seeds(self, noisy_dataset):
+        with pytest.raises(ConfigurationError, match="^sweep needs at least one seed$"):
+            sweep(small_config(), "tau", [0.2], noisy_dataset, seeds=[])
+
     def test_wrongly_typed_value_rejected(self, noisy_dataset):
         with pytest.raises(ConfigurationError, match="^window_t must be int, not float$"):
             sweep(small_config(), "window", [2.5], noisy_dataset)

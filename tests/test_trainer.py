@@ -276,9 +276,10 @@ def reference_epoch(model, dataset, config, velocity, epoch):
 
 
 class TestRunEpoch:
-    @pytest.mark.parametrize("batch_size", [64, 50, 1000])
+    @pytest.mark.parametrize("batch_size", [64, 50, 163, 1000])
     def test_bits_match_reference_epoch(self, batch_size):
-        # 490 rows leave a ragged last minibatch at 64 and 50; 1000 is one batch.
+        # 490 rows leave a ragged last minibatch at 64 and 50, and one row at
+        # 163, where numpy takes gemv for the one-row products; 1000 is one batch.
         ds = generate(SynthConfig(per_class=70, seed=2))
         cfg = small_config(batch_size=batch_size, seed=3)
         models = [init_model(ds.dim, cfg.embed_dim, cfg.hidden_dim, ds.n_classes, cfg.seed)
