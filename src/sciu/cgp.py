@@ -1,10 +1,10 @@
 """Coarse-grained pruning: per-sample trailing windows of weighted scores
 and a strict-threshold keep/prune decision.
 
-Each active sample records s = weight * prob once per post-warm-up epoch
-(`prune_epoch`). Once a sample has a full window of t scores, its trailing
-mean S_T is compared against lambda: keep iff S_T > lambda. Pruning is
-permanent for the remainder of the stage.
+Each active sample records s = weight * p once per post-warm-up epoch
+(`prune_epoch`), p read from its probs as `SCORES` says. Once a sample has a
+full window of t scores, its trailing mean S_T is compared against lambda:
+keep iff S_T > lambda. Pruning is permanent for the remainder of the stage.
 
 `ScoreHistory`, `trailing_mean` and `prune_decision` state the rule for one
 sample; `apply_pruning` applies it to every active sample at once, from the
@@ -71,8 +71,6 @@ class PruneState:
     def __post_init__(self):
         if not (0.0 < self.lam < 1.0):
             raise ConfigurationError("lambda must be in (0, 1)")
-        if self.window < 1:
-            raise ConfigurationError("window must be >= 1")
         self.windows = RingWindows(self.window, lambda s: {"scores": np.array(s)}, scores=float)
 
 
@@ -111,13 +109,14 @@ def apply_pruning(
     return dataset._take(np.flatnonzero(~pruned)), set(newly)
 
 
+SCORES = {"annotated_class": lambda probs, ds: probs[np.arange(len(ds)), ds.labels()],
+          "max_class": lambda probs, ds: row_max(probs)}
+
+
 def prune_epoch(state: PruneState, active: Dataset, eval_out: dict, epoch: int, config):
     """Score by `config.score_source`, prune: (active set left, its `eval_out["probs"]` rows)."""
     weights, probs = eval_out["weight"], eval_out["probs"]
-    if config.score_source == "annotated_class":
-        p = probs[np.arange(len(active)), active.labels()]
-    else:
-        p = row_max(probs)
+    p = SCORES[config.score_source](probs, active)
     bad = ~np.isfinite(weights * p)
     if bad.any():
         raise NumericError(f"non-finite score at epoch {epoch}: {int(bad.sum())} samples, "

@@ -96,8 +96,6 @@ class CorrectionState:
     def __post_init__(self):
         if not (0.0 < self.tau < 1.0):
             raise ConfigurationError("tau must be in (0, 1)")
-        if self.window < 1:
-            raise ConfigurationError("window must be >= 1")
         self.windows = RingWindows(
             self.window, _prediction_columns,
             preds=np.int64, p_pred=np.float64, p_gt=np.float64,

@@ -3,7 +3,8 @@ purification quality.
 
 WAR is recall weighted by class support, i.e. overall accuracy. UAR is the
 unweighted mean of per-class recalls; classes with no true samples are
-left out rather than counted as zero.
+left out rather than counted as zero. `war_uar` is the one path from rows
+of class probabilities to both: every WAR/UAR of the trainer and the report.
 
 `pruning_quality` and `correction_quality` read the dataset's oracle
 columns, for evaluation only.
@@ -61,6 +62,12 @@ def uar(cm: ConfusionMatrix) -> float:
         raise EvaluationError("UAR undefined: no class has any true sample")
     recalls = np.diag(cm.counts)[present] / row_totals[present]
     return float(recalls.mean())
+
+
+def war_uar(true, probs: np.ndarray, n_classes: int) -> tuple[float, float, ConfusionMatrix]:
+    """(WAR, UAR, confusion matrix) of the row argmax of `probs` against `true`."""
+    cm = ConfusionMatrix.from_predictions(true, np.argmax(probs, axis=1), n_classes)
+    return war(cm), uar(cm), cm
 
 
 def pruning_quality(

@@ -37,9 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .nn_core import LinearLayer
+from .nn_core import EPS_LOG, LinearLayer
 
-_ZERO, _ONE, _EPS = np.array(0.0), np.array(1.0), np.array(1e-12)
+_ZERO, _ONE, _EPS = np.array(0.0), np.array(1.0), np.array(EPS_LOG)
 
 
 @dataclass
@@ -202,7 +202,7 @@ def batch_loss(model: SciuModel, features: np.ndarray, labels: np.ndarray) -> fl
         )
     out = forward_batch(model, features, ("weighted_probs",))
     wp = out["weighted_probs"][np.arange(len(labels)), labels]
-    return float(np.mean(-np.log(np.maximum(wp, 1e-12))))
+    return float(np.mean(-np.log(np.maximum(wp, EPS_LOG))))
 
 
 def backward_batch(

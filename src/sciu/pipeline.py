@@ -26,7 +26,7 @@ from .dataset import Dataset, load_dataset, read_lines, stratified_split
 from .errors import (
     ConfigurationError, DegenerateRunError, EvaluationError, NumericError, ParseError,
 )
-from .metrics import ConfusionMatrix, correction_quality, pruning_quality, uar, war
+from .metrics import correction_quality, pruning_quality, war_uar
 from .model import forward_batch
 from .trainer import STAGE_IGNORES, STAGES, StageResult, TrainConfig, train_stage
 
@@ -120,20 +120,15 @@ def _final_test(model, test: Dataset) -> dict:
     annotated labels, and of the unweighted ones against the oracle true
     labels (evaluation only; None when the oracle is absent)."""
     out = forward_batch(model, test.features_matrix(), ("probs", "weighted_probs"))
-    labels = test.labels()
-    preds = np.argmax(out["probs"], axis=1)
-    cm = ConfusionMatrix.from_predictions(labels, preds, test.n_classes)
-    cm_w = ConfusionMatrix.from_predictions(
-        labels, np.argmax(out["weighted_probs"], axis=1), test.n_classes
-    )
-    section = {"war": war(cm), "uar": uar(cm), "war_weighted": war(cm_w),
-               "uar_weighted": uar(cm_w), "war_true": None, "uar_true": None,
-               "confusion_matrix": cm.counts.tolist()}
+    labels, k = test.labels(), test.n_classes
+    war_, uar_, cm = war_uar(labels, out["probs"], k)
+    war_w, uar_w, _ = war_uar(labels, out["weighted_probs"], k)
     true_labels, _ = test.oracle_columns()
+    war_t = uar_t = None
     if not (true_labels < 0).any():
-        cm_true = ConfusionMatrix.from_predictions(true_labels, preds, test.n_classes)
-        section.update(war_true=war(cm_true), uar_true=uar(cm_true))
-    return section
+        war_t, uar_t, _ = war_uar(true_labels, out["probs"], k)
+    return {"war": war_, "uar": uar_, "war_weighted": war_w, "uar_weighted": uar_w,
+            "war_true": war_t, "uar_true": uar_t, "confusion_matrix": cm.counts.tolist()}
 
 
 def run_pipeline(

@@ -22,10 +22,10 @@ from . import cgp as cgp_mod
 from . import fgc as fgc_mod
 from .dataset import Dataset
 from .errors import ConfigurationError, DegenerateRunError, NumericError, check_field_types
-from .metrics import ConfusionMatrix, uar, war
+from .metrics import war_uar
 from .model import SciuModel, backward_batch, forward_batch, init_model
 
-SCORE_SOURCES = ("annotated_class", "max_class")
+SCORE_SOURCES = tuple(cgp_mod.SCORES)
 PROB_SOURCES = tuple(fgc_mod.PROB_ROWS)
 
 # The TrainConfig fields each stage does not read. A stage's result is a
@@ -160,9 +160,7 @@ def evaluate(model: SciuModel, dataset: Dataset):
     """(WAR, UAR, confusion matrix) of the model's unweighted predictions
     against the dataset's labels: the per-epoch test metrics."""
     out = forward_batch(model, dataset.features_matrix(), ("probs",))
-    preds = np.argmax(out["probs"], axis=1)
-    cm = ConfusionMatrix.from_predictions(dataset.labels(), preds, dataset.n_classes)
-    return war(cm), uar(cm), cm
+    return war_uar(dataset.labels(), out["probs"], dataset.n_classes)
 
 
 def train_stage(
@@ -208,9 +206,7 @@ def train_stage(
             active, probs = step(state, active, eval_out, epoch, config)
 
         # Per-epoch metrics on the current active set (post-decision labels).
-        cm = ConfusionMatrix.from_predictions(
-            active.labels(), np.argmax(probs, axis=1), active.n_classes
-        )
+        train_war, train_uar, _ = war_uar(active.labels(), probs, active.n_classes)
         if test_dataset is not None and len(test_dataset) > 0:
             tw, tu, _ = evaluate(model, test_dataset)
         else:
@@ -219,8 +215,8 @@ def train_stage(
             EpochRecord(
                 epoch=epoch,
                 mean_loss=mean_loss,
-                train_war=war(cm),
-                train_uar=uar(cm),
+                train_war=train_war,
+                train_uar=train_uar,
                 test_war=tw,
                 test_uar=tu,
                 active_sample_count=len(active),

@@ -17,13 +17,17 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 
 class RingWindows:
     """Ring buffers named by keyword, each with its dtype: `buffers[name]`
     is the (rows, t) array. `columns(records)` maps a list of buffered
-    records to one column per buffer."""
+    records to one column per buffer. The window t must be >= 1."""
 
     def __init__(self, window: int, columns: Callable[[list], dict], **dtypes):
+        if window < 1:
+            raise ConfigurationError("window must be >= 1")
         self.window = window
         self.row_ids = np.zeros(0, dtype=np.int64)
         self.counts = np.zeros(0, dtype=np.int64)
