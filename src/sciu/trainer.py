@@ -7,7 +7,8 @@ forward over all active samples. After warm-up, a decision stage hands that
 forward's outputs to its step (`cgp.prune_epoch` or `fgc.correct_epoch`),
 which decides every active sample by the same post-update parameters and
 returns the active set left with its rows of the probs. The epoch's train
-WAR/UAR are read from those rows, against the labels after correction.
+WAR/UAR are read from those rows, against the labels after correction. At a
+stage's last epoch, non-finite evaluation probabilities raise NumericError.
 """
 
 from __future__ import annotations
@@ -157,10 +158,17 @@ def run_epoch(
 
 
 def evaluate(model: SciuModel, dataset: Dataset):
-    """(WAR, UAR, confusion matrix) of the model's unweighted predictions
-    against the dataset's labels: the per-epoch test metrics."""
-    out = forward_batch(model, dataset.features_matrix(), ("probs",))
-    return war_uar(dataset.labels(), out["probs"], dataset.n_classes)
+    """(WAR, UAR, confusion matrix, probs) of the model's unweighted
+    predictions against the dataset's labels: the per-epoch test metrics."""
+    probs = forward_batch(model, dataset.features_matrix(), ("probs",))["probs"]
+    return *war_uar(dataset.labels(), probs, dataset.n_classes), probs
+
+
+def _check_finite(probs: np.ndarray, dataset: Dataset, epoch: int, split: str) -> None:
+    bad = ~np.isfinite(probs).all(axis=1)
+    if bad.any():
+        raise NumericError(f"non-finite {split} probabilities at epoch {epoch}: {int(bad.sum())} "
+                           f"samples, first sample ids {dataset.id_array[bad][:5].tolist()}")
 
 
 def train_stage(
@@ -208,9 +216,14 @@ def train_stage(
         # Per-epoch metrics on the current active set (post-decision labels).
         train_war, train_uar, _ = war_uar(active.labels(), probs, active.n_classes)
         if test_dataset is not None and len(test_dataset) > 0:
-            tw, tu, _ = evaluate(model, test_dataset)
+            tw, tu, _, test_probs = evaluate(model, test_dataset)
         else:
-            tw = tu = None
+            tw = tu = test_probs = None
+        # Every earlier epoch's parameters meet the next epoch's loss check.
+        if epoch == config.epochs - 1:
+            _check_finite(probs, active, epoch, "training")
+            if test_probs is not None:
+                _check_finite(test_probs, test_dataset, epoch, "test")
         records.append(
             EpochRecord(
                 epoch=epoch,

@@ -4,13 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sciu import pipeline, trainer
 from sciu.cli import _check_output, _config_from_args, build_parser, main
 from sciu.dataset import load_dataset, save_dataset
-from sciu.errors import ConfigurationError, SciuError
+from sciu.errors import ConfigurationError, NumericError, SciuError
 from sciu.model import forward_batch
 from sciu.pipeline import (
     MODES,
@@ -158,6 +159,26 @@ class TestRunPipeline:
         assert round(report["final_test"]["war_true"], 4) == war_true
 
 
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_last_epoch_test_scores_are_the_final_test(self, mode):
+        report = run_pipeline(PipelineConfig(epochs=20, warmup_epochs=5, seed=1),
+                              generate(SynthConfig(per_class=60, seed=3)), mode)
+        last = report["stages"][-1]["epoch_records"][-1]
+        final = report["final_test"]
+        assert (last["test_war"], last["test_uar"]) == (final["war"], final["uar"])
+
+    @pytest.mark.parametrize("mode", ["baseline", "fgc_only"])
+    def test_non_finite_last_evaluation_is_numeric_error(self, mode):
+        # Epoch 0's step leaves the parameters finite and its evaluation
+        # finite; epoch 1's loss is finite, but its evaluation holds NaN rows.
+        cfg = PipelineConfig(epochs=2, warmup_epochs=0, window_t=1, learning_rate=1e155,
+                             batch_size=100_000)
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericError, match=r"^non-finite training probabilities at epoch 1: 6 samples, "
+                                    r"first sample ids \[12, 35, 107, 205, 241\]$"):
+            run_pipeline(cfg, generate(SynthConfig(per_class=40, seed=0)), mode)
+
+
 class TestSweep:
     def test_single_value_single_row(self, noisy_dataset):
         result = sweep(small_config(), "tau", [0.2], noisy_dataset, mode="fgc_only")
@@ -269,6 +290,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: non-finite score at epoch 0: 561 samples, "
                                     "first sample ids [1, 2, 3, 4, 5]"]
+
+    @pytest.mark.parametrize("mode", ["baseline", "fgc"])
+    def test_run_non_finite_last_evaluation_exit_4(self, tmp_path, capsys, mode):
+        data, out = tmp_path / "d.jsonl", tmp_path / "run"
+        assert main(["generate", "--out", str(data), "--per-class", "40", "--seed", "0"]) == 0
+        capsys.readouterr()
+        code = main([
+            "run", "--dataset", str(data), "--mode", mode, "--learning-rate", "1e155",
+            "--batch-size", "100000", "--warmup-epochs", "0", "--window", "1", "--epochs", "2",
+            "--out-dir", str(out),
+        ])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: non-finite training probabilities at epoch 1: 6 samples, "
+            "first sample ids [12, 35, 107, 205, 241]"]
+        assert captured.out == "" and not (out / "report.struct").exists()
 
     def test_sweep_cli(self, dataset_file, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -349,3 +349,17 @@ class TestSaturation:
                 NumericError, match=r"^non-finite score at epoch 0: 700 samples, "
                                     r"first sample ids \[0, 1, 2, 3, 4\]$"):
             train_stage(ds, cfg, "cgp")
+
+
+class TestLastEpochCheck:
+    @pytest.mark.parametrize("stage", ["plain", "cgp", "fgc"])
+    def test_non_finite_test_probabilities_raise_at_the_last_epoch(self, stage):
+        # Test features of +-1e308 overflow the logits to inf, so 8 of the 10
+        # test rows are NaN at every epoch; training stays finite, and only
+        # the last epoch checks.
+        test = two_class_toy(n_per_class=5, seed=1)
+        test = toy_dataset(np.sign(test.features_matrix()) * 1e308, test.labels())
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericError, match=r"^non-finite test probabilities at epoch 24: 8 samples, "
+                                    r"first sample ids \[0, 1, 2, 3, 4\]$"):
+            train_stage(two_class_toy(), small_config(), stage, test)

@@ -19,7 +19,7 @@ from sciu.cgp import (
     trailing_mean,
 )
 from sciu.dataset import Dataset
-from sciu.errors import LogicError, ValidationError
+from sciu.errors import ConfigurationError, LogicError, ValidationError
 from sciu.fgc import (
     CorrectionState,
     PredictionHistory,
@@ -180,3 +180,8 @@ class TestPush:
     def test_empty_windows_know_no_id(self):
         rows, known = self._windows().find(np.array([0, 1]))
         assert not known.any() and len(rows) == 2
+
+    @pytest.mark.parametrize("window", [0, -2])
+    def test_window_below_one_is_rejected(self, window):
+        with pytest.raises(ConfigurationError, match="^window must be >= 1$"):
+            RingWindows(window, lambda v: {"x": np.array(v, np.float64)}, x=np.float64)
