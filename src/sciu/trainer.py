@@ -224,6 +224,7 @@ def train_stage(
             _check_finite(probs, active, epoch, "training")
             if test_probs is not None:
                 _check_finite(test_probs, test_dataset, epoch, "test")
+        del test_probs  # not held through the next epoch
         records.append(
             EpochRecord(
                 epoch=epoch,
