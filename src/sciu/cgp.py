@@ -71,7 +71,8 @@ class PruneState:
     def __post_init__(self):
         if not (0.0 < self.lam < 1.0):
             raise ConfigurationError("lambda must be in (0, 1)")
-        self.windows = RingWindows(self.window, lambda s: {"scores": np.array(s)}, scores=float)
+        self.windows = RingWindows(
+            self.window, lambda s: {"scores": np.fromiter(s, np.float64, len(s))}, scores=float)
 
 
 def record_score(
@@ -95,8 +96,9 @@ def apply_pruning(
     ids pruned before are dropped undecided. Returns (D3 = active remainder,
     ids newly pruned this call). `prune_epoch` calls it after warm-up only.
     """
-    ids = dataset.id_array
-    pruned = np.isin(ids, np.fromiter(state.pruned_ids, np.int64, len(state.pruned_ids)))
+    ids, done = dataset.id_array, state.pruned_ids
+    pruned = (np.isin(ids, np.fromiter(done, np.int64, len(done))) if done
+              else np.zeros(len(ids), bool))
     pos, rows = state.windows.full_rows(ids)
     pos, rows = pos[~pruned[pos]], rows[~pruned[pos]]
     s_t = state.windows.mean("scores", rows)
@@ -106,6 +108,8 @@ def apply_pruning(
                         for sid, mean in zip(newly, s_t[drop].tolist())]
     state.pruned_ids.update(newly)
     pruned[pos[drop]] = True
+    if not pruned.any():  # nothing leaves: the input is D3
+        return dataset, set()
     return dataset._take(np.flatnonzero(~pruned)), set(newly)
 
 

@@ -14,7 +14,11 @@ applies it to every sample at once, from the (n, t) prediction windows of a
 `CorrectionState`. `record_prediction` checks its arguments when called but
 only buffers a copy of the probability row, n_classes entries long; before
 `apply_corrections` reads the windows, the epoch's rows are stacked and
-their argmax, p_pred and p_gt written as one column each.
+their argmax, p_pred and p_gt written as one column each. The flush reads
+the two fields of the staged records with one list comprehension each:
+`zip(*records)` would make one iterator per record, thousands an epoch,
+enough to set off the cyclic collector dozens of times a run. The push and
+the decision look the epoch's ids up once between them (see `sciu.window`).
 
 τ enters only through the decisions: each `apply_corrections` narrows
 `CorrectionState.tau_range` to the [lo, hi) of τ′ that decide alike, `lo`
@@ -34,6 +38,7 @@ from .errors import ConfigurationError, LogicError, ValidationError
 from .window import RingWindows
 
 PROB_ROWS = {"weighted": "weighted_probs", "unweighted": "probs"}  # eval output by prob_source
+_FLOAT64 = np.dtype(np.float64)  # native: `record_prediction` need not convert such a row
 
 
 @dataclass
@@ -104,11 +109,11 @@ class CorrectionState:
 
 def _prediction_columns(records: list) -> dict[str, np.ndarray]:
     """Window entries of buffered (probs bytes, annotated label) records."""
-    rows, labels = zip(*records)
+    rows = [row for row, _ in records]
     at = np.arange(len(rows))
     probs = np.frombuffer(b"".join(rows), np.float64).reshape(len(rows), -1)
     preds = probs.argmax(axis=1)
-    labels = np.fromiter(labels, np.int64, len(rows))
+    labels = np.fromiter([label for _, label in records], np.int64, len(rows))
     return {"preds": preds, "p_pred": probs[at, preds], "p_gt": probs[at, labels]}
 
 
@@ -121,7 +126,8 @@ def record_prediction(
 ) -> None:
     """Store a row of `state.n_classes` probabilities as its argmax label (ties ->
     lowest index), that label's probability and that of `gt_label`, an integer."""
-    probs = np.asarray(probs, float)
+    if not (type(probs) is np.ndarray and probs.dtype is _FLOAT64):
+        probs = np.asarray(probs, float)
     k = state.n_classes
     if probs.shape != (k,):
         raise ValidationError(f"sample {sample_id}: probs shape {probs.shape} != ({k},)")

@@ -9,6 +9,12 @@ count reaches t, with its oldest entry at column count % t.
 `add` only buffers one sample's record. Before any read, `flush` turns the
 buffered records, all of one layout, into one column per buffer and `push`
 writes each column with one whole-array write.
+
+A decision epoch looks its ids up once: `push` and then the decision's
+`full_rows` are given equal id arrays (the active set, in order), so `find`
+keeps its last ids with their rows and answers an equal array from them.
+Rows never move; only growth changes what an id finds, and `push` refreshes
+the kept rows when it adds new ones.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ class RingWindows:
         self._order = np.zeros(0, dtype=np.int64)  # argsort of row_ids
         self._columns = columns
         self._pending: dict = {}  # sample id -> record, in call order
+        none = np.zeros(0, np.int64)
+        self._found = (none, none, np.zeros(0, bool))  # find's last (ids, rows, known)
 
     def add(self, sample_id: int, record) -> None:
         """Buffer one entry; a pending id flushes first, so entries land in
@@ -62,6 +70,7 @@ class RingWindows:
             for name, buf in self.buffers.items():
                 pad = np.zeros((len(new), self.window), buf.dtype)
                 self.buffers[name] = np.concatenate([buf, pad])
+            self._found = (ids.copy(), rows.copy(), np.ones(len(ids), bool))
         cols = self.counts[rows] % self.window
         for name, values in columns.items():
             self.buffers[name][rows, cols] = values
@@ -70,12 +79,15 @@ class RingWindows:
     def find(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(rows, known): the row of each id, valid where `known` is set."""
         self.flush()
-        at = np.searchsorted(self.row_ids, ids, sorter=self._order)
-        known = at < len(self.row_ids)
-        rows = np.zeros(len(ids), np.int64)
-        rows[known] = self._order[at[known]]
-        known[known] = self.row_ids[rows[known]] == ids[known]
-        return rows, known
+        last, rows, known = self._found
+        if not np.array_equal(ids, last):
+            at = np.searchsorted(self.row_ids, ids, sorter=self._order)
+            known = at < len(self.row_ids)
+            rows = np.zeros(len(ids), np.int64)
+            rows[known] = self._order[at[known]]
+            known[known] = self.row_ids[rows[known]] == ids[known]
+            self._found = (ids.copy(), rows, known)
+        return rows.copy(), known.copy()
 
     def full_rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(positions in `ids`, rows) of the ids that have a full window."""

@@ -345,6 +345,25 @@ class TestPruneEpochMatchesScalarRule:
                             TrainConfig(score_source=source))
             assert not state.pruned_ids and not state.windows.find(ds.id_array)[1].any()
 
+    def test_epochs_that_prune_nothing_return_their_input(self):
+        # Epoch 0 prunes sample 11; later epochs prune nothing, before any
+        # sample was pruned (a fresh state) and after.
+        ds, config = labelled_dataset([0, 1, 2]), TrainConfig(window_t=1)
+        for first_weight in (0.9, 0.1):
+            state, active = PruneState(lam=0.5, window=1), ds
+            for epoch in range(3):
+                weights = np.where(active.id_array == 11, first_weight, 0.9)
+                probs = np.full((len(active), 3), 0.05)
+                probs[np.arange(len(active)), active.labels()] = 0.9
+                kept, rows = prune_epoch(state, active, {"weight": weights, "probs": probs},
+                                         epoch, config)
+                if epoch or first_weight == 0.9:
+                    assert kept.ids == active.ids
+                    assert kept.labels().tolist() == active.labels().tolist()
+                    assert rows.tobytes() == probs.tobytes()
+                active = kept
+            assert active.ids == ([10, 11, 12] if first_weight == 0.9 else [10, 12])
+
     def test_all_pruned_is_degenerate(self):
         state = PruneState(lam=0.5, window=1)
         with pytest.raises(DegenerateRunError, match="^all samples pruned"):

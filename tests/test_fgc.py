@@ -82,6 +82,23 @@ class TestRecordPrediction:
         assert recorded(state, 0) == 0 and recorded(state, 1) == 1
 
 
+    @pytest.mark.parametrize("row", [
+        np.array([0.1, 0.7, 0.2], np.float32),
+        np.array([0, 1, 0]),
+        [0.1, 0.7, 0.2],
+        np.array([[0.1, 0.0], [0.7, 0.0], [0.2, 0.0]])[:, 0],
+        np.array([0.1, 0.7, 0.2], ">f8"),
+    ], ids=["float32", "int", "list", "strided-float64", "big-endian"])
+    def test_row_staged_as_native_float64(self, row):
+        # Only a native float64 ndarray skips the conversion; every other
+        # row is staged as the bytes of `np.asarray(row, float)`.
+        want = np.asarray(row, float)
+        state = CorrectionState(tau=0.2, window=1, n_classes=3)
+        record_prediction(state, 0, row, 2, epoch=0)
+        assert list(state.windows._pending.values()) == [(want.tobytes(), 2)]
+        assert first_entry(state, 0) == (1, want[1], want[2])
+
+
 class TestLabelStable:
     def test_all_equal(self):
         assert label_stable(history([(1, 0.9, 0.1)] * 3, window=3)) is True

@@ -185,3 +185,83 @@ class TestPush:
     def test_window_below_one_is_rejected(self, window):
         with pytest.raises(ConfigurationError, match="^window must be >= 1$"):
             RingWindows(window, lambda v: {"x": np.array(v, np.float64)}, x=np.float64)
+
+
+class TestFindAgainstDict:
+    """`find` keeps its last ids and their rows. Random pushes, adds,
+    lookups, means and clears are checked against a dict-of-lists
+    reference: an id gets the next row when it first arrives and keeps it,
+    and holds the list of its entries since its last clear."""
+
+    UNIVERSE = 40
+
+    def _ids(self, rng, last):
+        kind = rng.integers(6)
+        if kind == 0:  # the very array given last
+            return last
+        if kind == 1:  # an equal array
+            return last.copy()
+        if kind == 2:  # reordered
+            return rng.permutation(last)
+        if kind == 3 and 0 < len(last) < self.UNIVERSE:  # equal length, one id swapped
+            ids = last.copy()
+            ids[rng.integers(len(ids))] = rng.choice(np.setdiff1d(np.arange(self.UNIVERSE), last))
+            return ids
+        # known and unknown ids mixed
+        return rng.choice(self.UNIVERSE, int(rng.integers(0, 15)), replace=False)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_rows_and_counts_match_the_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        t = int(rng.integers(1, 4))
+        w = RingWindows(t, lambda v: {"x": np.array(v, np.float64)}, x=np.float64)
+        row_of: dict[int, int] = {}
+        entries: dict[int, list] = {}
+        last = np.zeros(0, np.int64)
+
+        def record(i, v):
+            row_of.setdefault(i, len(row_of))
+            entries.setdefault(i, []).append(v)
+
+        for _ in range(250):
+            ids = self._ids(rng, last)
+            op = rng.integers(6)
+            if op == 0:
+                values = rng.uniform(size=len(ids))
+                w.push(ids, x=values)
+                for i, v in zip(ids.tolist(), values.tolist()):
+                    record(i, v)
+            elif op == 1:  # staged one by one, flushed by the next read
+                for i in ids.tolist():
+                    v = float(rng.uniform())
+                    w.add(i, v)
+                    record(i, v)
+                last = ids
+                continue
+            elif op == 2:
+                rows, known = w.find(ids)
+                assert known.tolist() == [i in row_of for i in ids.tolist()]
+                assert rows[known].tolist() == [row_of[i] for i in ids.tolist() if i in row_of]
+                rows[:], known[:] = 0, False  # the caller's arrays, not the kept ones
+            elif op == 3:
+                pos, rows = w.full_rows(ids)
+                want = [k for k, i in enumerate(ids.tolist()) if len(entries.get(i, ())) >= t]
+                assert pos.tolist() == want
+                assert rows.tolist() == [row_of[i] for i in ids[want].tolist()]
+                assert w.mean("x", rows).tolist() == [
+                    sum(entries[i][-t:]) / t for i in ids[want].tolist()]
+            elif op == 4:
+                rows, known = w.find(ids)
+                w.clear(rows[known])
+                for i in ids[known].tolist():
+                    entries[i] = []
+            else:  # the caller edits its array after a lookup
+                ids = ids.copy()
+                w.find(ids)
+                if 0 < len(ids) < self.UNIVERSE:
+                    other = np.setdiff1d(np.arange(self.UNIVERSE), ids)
+                    ids[rng.integers(len(ids))] = rng.choice(other)
+            last = ids
+            order = sorted(row_of, key=row_of.get)
+            assert w.row_ids.tolist() == order
+            assert w.counts.tolist() == [len(entries[i]) for i in order]
