@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .errors import (ConfigurationError, DegenerateRunError, LogicError, NumericError,
-                     ValidationError)
+from .errors import ConfigurationError, DegenerateRunError, LogicError, ValidationError
 from .model import row_max
 from .window import RingWindows
 
@@ -121,10 +120,7 @@ def prune_epoch(state: PruneState, active: Dataset, eval_out: dict, epoch: int, 
     """Score by `config.score_source`, prune: (active set left, its `eval_out["probs"]` rows)."""
     weights, probs = eval_out["weight"], eval_out["probs"]
     p = SCORES[config.score_source](probs, active)
-    bad = ~np.isfinite(weights * p)
-    if bad.any():
-        raise NumericError(f"non-finite score at epoch {epoch}: {int(bad.sum())} samples, "
-                           f"first sample ids {active.id_array[bad][:5].tolist()}")
+    active.check_finite(weights * p, "score", epoch)
     for sid, w, pl in zip(active.ids, weights.tolist(), p.tolist()):
         record_score(state, sid, w, pl, epoch)
     kept, newly = apply_pruning(state, active, epoch)

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import NumericError, ParseError, ValidationError
 
 QUALITY_CLEAN = "clean"
 QUALITY_LOW = "low_quality"
@@ -169,6 +169,14 @@ class Dataset:
         bad = ~np.isfinite(c.features).all(axis=1)
         if bad.any():
             raise ValidationError(f"sample {c.ids[bad.argmax()]}: non-finite features")
+
+    def check_finite(self, values: np.ndarray, what: str, epoch: int) -> None:
+        """Raise NumericError naming the samples whose `values`, one entry or row a
+        sample in dataset order, are not all finite."""
+        bad = ~np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+        if bad.any():
+            raise NumericError(f"non-finite {what} at epoch {epoch}: {int(bad.sum())} samples, "
+                               f"first sample ids {self.id_array[bad][:5].tolist()}")
 
     def __len__(self) -> int:
         return len(self.id_array)

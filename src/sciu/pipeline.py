@@ -262,12 +262,9 @@ def sweep(
             xs = [f[metric] for f in finals if f[metric] is not None]
             row["median_" + metric] = statistics.median(xs) if xs else None
         rows.append({**row, "per_seed_war": [f["war"] for f in finals], "failures": failures})
-    # Rank by true-label WAR when the oracle is available, else annotated.
-    key = (
-        "median_war_true"
-        if all(r["median_war_true"] is not None for r in rows)
-        else "median_war"
-    )
+    # Rank by true-label WAR when any cell had the oracle, else annotated.
+    oracle = any(r["median_war_true"] is not None for r in rows)
+    key = "median_war_true" if oracle else "median_war"
     scored = [r for r in rows if r[key] is not None]
     best = max(scored, key=lambda r: r[key])["value"] if scored else None
     return {"parameter": parameter, "mode": mode, "seeds": seeds, "rows": rows,

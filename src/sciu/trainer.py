@@ -8,7 +8,8 @@ forward's outputs to its step (`cgp.prune_epoch` or `fgc.correct_epoch`),
 which decides every active sample by the same post-update parameters and
 returns the active set left with its rows of the probs. The epoch's train
 WAR/UAR are read from those rows, against the labels after correction. At a
-stage's last epoch, non-finite evaluation probabilities raise NumericError.
+stage's last epoch, `Dataset.check_finite`, the one owner of the finite check
+(CGP's scores use it too), raises NumericError on non-finite probabilities.
 """
 
 from __future__ import annotations
@@ -164,13 +165,6 @@ def evaluate(model: SciuModel, dataset: Dataset):
     return *war_uar(dataset.labels(), probs, dataset.n_classes), probs
 
 
-def _check_finite(probs: np.ndarray, dataset: Dataset, epoch: int, split: str) -> None:
-    bad = ~np.isfinite(probs).all(axis=1)
-    if bad.any():
-        raise NumericError(f"non-finite {split} probabilities at epoch {epoch}: {int(bad.sum())} "
-                           f"samples, first sample ids {dataset.id_array[bad][:5].tolist()}")
-
-
 def train_stage(
     dataset: Dataset,
     config: TrainConfig,
@@ -221,9 +215,9 @@ def train_stage(
             tw = tu = test_probs = None
         # Every earlier epoch's parameters meet the next epoch's loss check.
         if epoch == config.epochs - 1:
-            _check_finite(probs, active, epoch, "training")
+            active.check_finite(probs, "training probabilities", epoch)
             if test_probs is not None:
-                _check_finite(test_probs, test_dataset, epoch, "test")
+                test_dataset.check_finite(test_probs, "test probabilities", epoch)
         del test_probs  # not held through the next epoch
         records.append(
             EpochRecord(

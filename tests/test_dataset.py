@@ -23,7 +23,7 @@ from sciu.dataset import (
     save_dataset,
     stratified_split,
 )
-from sciu.errors import ParseError, SciuError, ValidationError
+from sciu.errors import NumericError, ParseError, SciuError, ValidationError
 from sciu.synth import SynthConfig, generate
 
 
@@ -148,6 +148,20 @@ class TestDataset:
         np.testing.assert_array_equal(
             stripped.features_matrix(), ds.features_matrix()
         )
+
+    @pytest.mark.parametrize("shape", [(8,), (8, 3)])
+    def test_check_finite_names_the_samples(self, shape):
+        ds = Dataset(**columns(7, ids=np.arange(1, 8)), n_classes=3, dim=2)
+        values = np.zeros(shape)[1:]
+        ds.check_finite(values, "score", 4)
+        values.reshape(7, -1)[[1, 4, 5], -1] = [np.nan, np.inf, -np.inf]
+        with pytest.raises(NumericError, match=re.escape(
+                "non-finite score at epoch 4: 3 samples, first sample ids [2, 5, 6]")):
+            ds.check_finite(values, "score", 4)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_check_finite_of_no_samples(self, shape):
+        make_dataset(0).check_finite(np.zeros(shape), "test probabilities", 0)
 
 
 class TestCorrectionEvent:

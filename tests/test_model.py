@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -390,6 +391,21 @@ class TestFlatLayout:
         first = grads[0].copy()
         backward_batch(m, -feats, rng.integers(0, 3, 5))
         assert not np.array_equal(grads[0], first)  # overwritten by the next call
+
+
+class TestModelDimensions:
+    @pytest.mark.parametrize("layer,shape,message", [
+        ("classifier", (3, 5), "classifier input dim != encoder output dim"),
+        ("wb_hidden", (2, 5), "weight branch input dim != encoder output dim"),
+        ("wb_out", (1, 3), "weight branch output layer must map hidden -> 1"),
+        ("wb_out", (2, 2), "weight branch output layer must map hidden -> 1"),
+    ])
+    def test_mismatched_layer_raises(self, layer, shape, message):
+        shapes = {"encoder": (4, 3), "classifier": (3, 4), "wb_hidden": (2, 4), "wb_out": (1, 2)}
+        shapes[layer] = shape
+        layers = {name: LinearLayer(np.zeros(s), np.zeros(s[0])) for name, s in shapes.items()}
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            SciuModel(**layers)
 
 
 class TestInit:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,14 @@ class TestLinearForward:
         with pytest.raises(ConfigurationError):
             LinearLayer(np.eye(2), np.zeros(3))
 
+    def test_weight_must_be_2d(self):
+        with pytest.raises(ConfigurationError, match="^weight must be 2-D and bias 1-D$"):
+            LinearLayer(np.zeros(2), np.zeros(2))
+
+    def test_non_finite_parameters(self):
+        with pytest.raises(ConfigurationError, match="^layer parameters must be finite$"):
+            LinearLayer(np.eye(2), np.array([0.0, np.inf]))
+
 
 class TestRelu:
     def test_mixed(self):
@@ -72,6 +81,10 @@ class TestSigmoid:
 
 
 class TestSoftmax:
+    def test_empty_logits(self):
+        with pytest.raises(ConfigurationError, match="^softmax of empty logits$"):
+            softmax(np.zeros(0))
+
     def test_uniform(self):
         np.testing.assert_allclose(softmax(np.zeros(3)), np.full(3, 1 / 3))
 
@@ -148,8 +161,20 @@ class TestSgdMomentum:
         with pytest.raises(ConfigurationError):
             sgd_momentum_step([np.zeros(1)], [np.zeros(1)], [np.zeros(1)], -0.1, 0.0)
 
+    def test_momentum_of_one_rejected(self):
+        with pytest.raises(ConfigurationError, match="^" + re.escape("momentum must be in [0, 1)") + "$"):
+            sgd_momentum_step([np.zeros(1)], [np.zeros(1)], [np.zeros(1)], 0.1, 1.0)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ConfigurationError, match="^params/grads/velocity length mismatch$"):
+            sgd_momentum_step([np.zeros(1)] * 2, [np.zeros(1)], [np.zeros(1)] * 2, 0.1, 0.0)
+
 
 class TestFiniteDifference:
+    def test_step_must_be_positive(self):
+        with pytest.raises(ConfigurationError, match="^step size must be positive$"):
+            finite_difference_gradient(lambda: 0.0, [np.zeros(1)], h=0.0)
+
     def test_quadratic(self):
         x = [np.array([3.0])]
         grad = finite_difference_gradient(lambda: 0.5 * float(x[0][0]) ** 2, x)

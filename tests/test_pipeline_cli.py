@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from sciu import pipeline, trainer
 from sciu.cli import _check_output, _config_from_args, build_parser, main
 from sciu.dataset import load_dataset, save_dataset
-from sciu.errors import ConfigurationError, NumericError, SciuError
+from sciu.errors import ConfigurationError, DegenerateRunError, NumericError, SciuError
 from sciu.model import forward_batch
 from sciu.pipeline import (
     MODES,
@@ -208,6 +208,24 @@ class TestSweep:
         with pytest.raises(ConfigurationError, match="^window_t must be int, not float$"):
             sweep(small_config(), "window", [2.5], noisy_dataset)
 
+    @pytest.mark.parametrize("values", [[0.3, 0.5], [0.3, 0.5, 0.9]])
+    def test_a_failed_row_leaves_the_ranking_by_true_war(self, noisy_dataset, monkeypatch,
+                                                         values):
+        # 0.5 has the higher annotated WAR, 0.3 the higher true-label WAR; every
+        # cell of 0.9 fails, so its row has no median to rank.
+        wars = {0.3: (0.60, 0.90), 0.5: (0.70, 0.80)}
+
+        def run(cfg, dataset, mode, memo):
+            if cfg.lam not in wars:
+                raise DegenerateRunError("all samples pruned")
+            war, war_true = wars[cfg.lam]
+            return {"final_test": {"war": war, "uar": war, "war_true": war_true}}
+
+        monkeypatch.setattr(pipeline, "run_pipeline", run)
+        result = sweep(small_config(), "lambda", values, noisy_dataset, seeds=[0, 1])
+        assert result["best_value"] == 0.3
+        assert [len(r["failures"]) for r in result["rows"]] == [0, 0, 2][:len(values)]
+
 
 class TestCli:
     def test_generate_default_reloads(self, tmp_path, capsys):
@@ -330,6 +348,21 @@ class TestCli:
         assert (rendered / "weight_histogram.csv").exists()
         assert (rendered / "confusion_matrix.csv").exists()
         assert (rendered / "summary.txt").exists()
+
+    def test_report_command_without_oracle(self, noisy_dataset, tmp_path):
+        report = run_pipeline(small_config(), noisy_dataset.without_oracle_fields(), "sciu")
+        assert report["pruned_total"] > 0 and report["corrected_total"] > 0
+        assert report["pruning_quality"] is None and report["correction_quality"] is None
+        assert report["final_test"]["war_true"] is None and report["final_test"]["uar_true"] is None
+        write_report(report, tmp_path / "run")
+        code = main(["report", "--report", str(tmp_path / "run" / "report.struct"),
+                     "--out-dir", str(tmp_path / "rendered")])
+        assert code == 0
+        summary = (tmp_path / "rendered" / "summary.txt").read_text().splitlines()
+        # No quality lines: the oracle that would score the prunes and corrections is absent.
+        assert [line.split(":")[0] for line in summary] == [
+            "mode", "pruned", "final test WAR", "final test WAR (weighted probs)",
+            "mean weight kept"]
 
     def test_report_baseline_has_no_histogram(self, noisy_dataset, tmp_path):
         write_report(run_pipeline(small_config(), noisy_dataset, "baseline"), tmp_path / "run")
