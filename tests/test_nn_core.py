@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -162,7 +161,7 @@ class TestSgdMomentum:
             sgd_momentum_step([np.zeros(1)], [np.zeros(1)], [np.zeros(1)], -0.1, 0.0)
 
     def test_momentum_of_one_rejected(self):
-        with pytest.raises(ConfigurationError, match="^" + re.escape("momentum must be in [0, 1)") + "$"):
+        with pytest.raises(ConfigurationError, match=r"^momentum must be in \[0, 1\)$"):
             sgd_momentum_step([np.zeros(1)], [np.zeros(1)], [np.zeros(1)], 0.1, 1.0)
 
     def test_length_mismatch(self):
