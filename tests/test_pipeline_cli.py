@@ -353,7 +353,7 @@ class TestCli:
         report = run_pipeline(small_config(), noisy_dataset.without_oracle_fields(), "sciu")
         assert report["pruned_total"] > 0 and report["corrected_total"] > 0
         assert report["pruning_quality"] is None and report["correction_quality"] is None
-        assert report["final_test"]["war_true"] is None and report["final_test"]["uar_true"] is None
+        assert (report["final_test"]["war_true"], report["final_test"]["uar_true"]) == (None, None)
         write_report(report, tmp_path / "run")
         code = main(["report", "--report", str(tmp_path / "run" / "report.struct"),
                      "--out-dir", str(tmp_path / "rendered")])
