@@ -96,8 +96,7 @@ def apply_pruning(
     ids newly pruned this call). `prune_epoch` calls it after warm-up only.
     """
     ids, done = dataset.id_array, state.pruned_ids
-    pruned = (np.isin(ids, np.fromiter(done, np.int64, len(done))) if done
-              else np.zeros(len(ids), bool))
+    pruned = np.isin(ids, np.fromiter(done, np.int64, len(done)))
     pos, rows = state.windows.full_rows(ids)
     pos, rows = pos[~pruned[pos]], rows[~pruned[pos]]
     s_t = state.windows.mean("scores", rows)

@@ -87,25 +87,23 @@ def _readonly(column: np.ndarray) -> np.ndarray:
     return column
 
 
-def _record_error(sid, label, true_label, flag, shape: tuple,
-                  dim: int) -> Optional[ValidationError]:
-    """The first of a loaded record's values that its column could not hold as given, in
-    the order id, label, true_label, quality_flag, feature shape: an id, label or
-    true_label not of type `int` (JSON's exact type; an int64 column would truncate 0.5 to
-    0), a true_label of -1 (which the column reads as absent), a quality flag with no code
-    and a feature vector of the wrong shape. None when it has none. Value ranges are left
-    to `Dataset.validate`."""
+def _check_record(sid, label, true_label, flag, shape: tuple, dim: int) -> None:
+    """Raise `ValidationError` for the first of a loaded record's values that its column
+    could not hold as given, in the order id, label, true_label, quality_flag, feature
+    shape: an id, label or true_label not of type `int` (JSON's exact type; an int64 column
+    would truncate 0.5 to 0), a true_label of -1 (which the column reads as absent), a
+    quality flag with no code and a feature vector of the wrong shape. Value ranges are
+    left to `Dataset.validate`."""
     if type(sid) is not int:
-        return ValidationError(f"sample id {sid!r} is not an integer")
+        raise ValidationError(f"sample id {sid!r} is not an integer")
     if type(label) is not int:
-        return ValidationError(f"sample {sid}: label {label!r} is not an integer")
+        raise ValidationError(f"sample {sid}: label {label!r} is not an integer")
     if true_label is not None and (type(true_label) is not int or true_label == -1):
-        return ValidationError(f"sample {sid}: true_label {true_label!r} is not a class index")
+        raise ValidationError(f"sample {sid}: true_label {true_label!r} is not a class index")
     if not isinstance(flag, (str, type(None))) or flag not in QUALITY_CODES:
-        return ValidationError(f"sample {sid}: unknown quality_flag {flag!r}")
+        raise ValidationError(f"sample {sid}: unknown quality_flag {flag!r}")
     if shape != (dim,):
-        return ValidationError(f"sample {sid}: feature dim {shape} != ({dim},)")
-    return None
+        raise ValidationError(f"sample {sid}: feature dim {shape} != ({dim},)")
 
 
 class Dataset:
@@ -189,8 +187,8 @@ class Dataset:
         return self.id_array.tolist()
 
     def _records(self) -> Iterator[tuple]:
-        """Each sample's raw record as `_columns` reads it, less the line number:
-        Python values, features as a list, None for an absent oracle field."""
+        """Each sample's record as `load_dataset` reads it from a line: Python values,
+        features as a list, None for an absent oracle field."""
         for start in range(0, len(self), _BLOCK):
             block = (c[start:start + _BLOCK].tolist() for c in self._cols)
             for sid, features, label, true_label, code in zip(*block):
@@ -279,14 +277,14 @@ def read_lines(path) -> Iterator[str]:
 
 
 def load_dataset(path) -> Dataset:
-    """The validated dataset at `path`. Pinned: which error comes first. Line by line, a
-    `ParseError` naming `<path>:<line>` for the header, bad JSON, a non-object, non-number
-    features or a missing field, or naming `<path>` for bytes that do not decode; then the
-    first record's `_record_error`; then the first id, label or true_label that int64
-    cannot hold, as a `ParseError` naming its line; then `validate`'s. Each record's values
-    go straight into typed columns, its features as float64 (as `np.stack` casts ints), so
-    no per-record object outlives its line. A feature written as -0 (older saves wrote a
-    negative zero so) loads as +0.0."""
+    """The validated dataset at `path`. Pinned: which error comes first. Line by line, in
+    file order, a line's first fault: a `ParseError` naming `<path>:<line>` for the header,
+    bad JSON, a non-object, non-number features, a missing field or an id, label or
+    true_label that int64 cannot hold, or naming `<path>` for bytes that do not decode; or
+    the record's `_check_record` error. After the last line, `validate`'s whole-column
+    checks. Each record's values go straight into typed columns, its features as float64
+    (as `np.stack` casts ints), so no per-record object outlives its line. A feature written
+    as -0 (older saves wrote a negative zero so) loads as +0.0."""
     lines = (line.rstrip("\n") for line in read_lines(path))
     if (first := next(lines, None)) is None:
         raise ParseError(f"{path}: empty file, missing header")
@@ -304,7 +302,6 @@ def load_dataset(path) -> Dataset:
     n_classes, dim = header["n_classes"], header["dim"]
     # int64 ids, labels and true labels, int8 quality codes and float64 feature rows
     ids, labels, true_labels, quality, rows = (array.array(t) for t in "qqqbd")
-    invalid = overflow = None  # the first `_record_error`; the first int64 overflow
     for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
@@ -328,24 +325,18 @@ def load_dataset(path) -> Dataset:
             raise ParseError(f"{path}:{lineno}: missing field {e}") from e
         except (TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"{path}:{lineno}: features are not numbers: {e}") from e
-        if invalid is None:  # past it, only a later line's `ParseError` can still come first
-            true_label, flag = rec.get("true_label"), rec.get("quality_flag")
-            invalid = _record_error(sid, label, true_label, flag, features.shape, dim)
-        if invalid or overflow:
-            continue
+        true_label, flag = rec.get("true_label"), rec.get("quality_flag")
+        _check_record(sid, label, true_label, flag, features.shape, dim)
         try:
             ids.append(sid)
             labels.append(label)
             true_labels.append(-1 if true_label is None else true_label)
-        except OverflowError:
+        except OverflowError as e:
             field = next(f for f, v in (("id", sid), ("label", label), ("true_label", true_label))
                          if v is not None and not -(2**63) <= v < 2**63)
-            overflow = ParseError(f"{path}:{lineno}: {field} out of the int64 range")
-            continue
+            raise ParseError(f"{path}:{lineno}: {field} out of the int64 range") from e
         quality.append(QUALITY_CODES[flag])
         rows.frombytes(features.astype(np.float64, copy=False).tobytes())
-    if invalid or overflow:
-        raise invalid or overflow
     try:  # with no record, a header dim numpy cannot hold is not checked by any row
         matrix = np.frombuffer(rows).reshape(len(ids), dim) if ids else np.zeros((0, dim))
     except (OverflowError, ValueError) as e:

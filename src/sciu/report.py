@@ -79,6 +79,8 @@ def render_report(report_path: str | Path, out_dir: str | Path) -> list[Path]:
 def _render(report: dict, out: Path) -> list[Path]:
     """Render every file first and write them only then, so a malformed
     report leaves nothing behind."""
+    if bad := [f["role"] for f in report["stages"] if f["role"] not in ("cgp", "fgc", "final")]:
+        raise ValueError(f"stage role {bad[0]!r} is not cgp, fgc or final")
     texts = {
         f"epochs_{i}_{frag['role']}.csv": epoch_csv(frag)
         for i, frag in enumerate(report["stages"])

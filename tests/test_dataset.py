@@ -303,11 +303,11 @@ class TestLoadErrors:
         assert err == f"error: {path}:4: {field} out of the int64 range\n"
 
     def test_value_int64_cannot_hold_after_type_errors(self, tmp_path):
-        # The per-record type checks still come first, as they did.
+        # An overflow is a fault of its own line: it comes before a later line's type error.
         path = tmp_path / "d.jsonl"
         path.write_text(HEADER + '{"id":' + str(2**63) + ',"features":[1.0,0.0],"label":0}\n'
                         + '{"id":1,"features":[1.0,0.0],"label":0.5}\n')
-        with pytest.raises(ValidationError, match="sample 1: label 0.5 is not an integer"):
+        with pytest.raises(ParseError, match=r":2: id out of the int64 range$"):
             load_dataset(path)
         path.write_text(HEADER + '{"id":1,"features":[1.0,0.0],"label":0}\n'
                         + '{"id":' + str(-(2**63) - 1) + ',"features":[1.0,0.0],"label":0}\n')
@@ -326,10 +326,18 @@ class TestLoadErrors:
 
     def test_two_faults_name_the_first_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
-        path.write_text(HEADER + RECORD + '{"id":1,"features":[1.0,"x"],"label":0}\n' + RECORD
-                        + '{"id":3,"features":[1.0,0.0]}\n')
-        with pytest.raises(ParseError, match=":3: features are not numbers"):
-            load_dataset(path)
+        for third, fifth, error, match in [
+            ('{"id":1,"features":[1.0,"x"],"label":0}', '{"id":3,"features":[1.0,0.0]}',
+             ParseError, ":3: features are not numbers"),
+            # A record's type fault comes before malformed JSON on a later line.
+            ('{"id":1,"features":[1.0],"label":0.5}', '{"id":2 "features":[1.0,0.0],"label":0}',
+             ValidationError, "^sample 1: label 0.5 is not an integer$"),
+            ('{"id":1,"features":[1.0,0.0],"label":0,"quality_flag":0}', "{oops",
+             ValidationError, "^sample 1: unknown quality_flag 0$"),
+        ]:
+            path.write_text(HEADER + RECORD + third + "\n" + RECORD + fifth + "\n")
+            with pytest.raises(error, match=match):
+                load_dataset(path)
 
     def test_builds_no_sample(self, tmp_path, monkeypatch):
         path = tmp_path / "d.jsonl"
@@ -749,8 +757,9 @@ def test_any_file_loads_or_raises_sciu_error(scratch_dir, header, records):
 
 def reference_load(path, n_classes, dim):
     """`load_dataset`'s records read one at a time, each record's features
-    through `np.asarray` and each record checked by itself; the header is
-    taken as valid."""
+    through `np.asarray` and each record checked in full before the next
+    line; the header is taken as valid."""
+    is_int = lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool)  # noqa: E731
     records = []
     for lineno, line in enumerate(Path(path).read_text().splitlines()[1:], start=2):
         if not line.strip():
@@ -765,14 +774,12 @@ def reference_load(path, n_classes, dim):
             features = np.asarray(rec["features"])
             if features.dtype.kind not in "iuf":
                 raise ValueError(repr(rec["features"])[:80])
-            records.append((lineno, rec["id"], features, rec["label"], rec.get("true_label"),
-                            rec.get("quality_flag")))
+            sid, label = rec["id"], rec["label"]
         except KeyError as e:
             raise ParseError(f"{path}:{lineno}: missing field {e}") from e
         except (TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"{path}:{lineno}: features are not numbers: {e}") from e
-    is_int = lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool)  # noqa: E731
-    for _, sid, features, label, true_label, flag in records:
+        true_label, flag = rec.get("true_label"), rec.get("quality_flag")
         if not is_int(sid):
             raise ValidationError(f"sample id {sid!r} is not an integer")
         if not is_int(label):
@@ -783,17 +790,17 @@ def reference_load(path, n_classes, dim):
             raise ValidationError(f"sample {sid}: unknown quality_flag {flag!r}")
         if features.shape != (dim,):
             raise ValidationError(f"sample {sid}: feature dim {features.shape} != ({dim},)")
-    for lineno, sid, _, label, true_label, _ in records:
         for field, value in (("id", sid), ("label", label), ("true_label", true_label)):
             if value is not None and not -(2**63) <= value < 2**63:
                 raise ParseError(f"{path}:{lineno}: {field} out of the int64 range")
+        records.append((sid, features, label, true_label, flag))
     codes = {None: -1, "clean": 0, "low_quality": 1}
     return Dataset(
-        np.array([r[1] for r in records], dtype=np.int64),
-        np.stack([r[2] for r in records], dtype=np.float64) if records else np.zeros((0, dim)),
-        np.array([r[3] for r in records], dtype=np.int64),
-        np.array([-1 if r[4] is None else r[4] for r in records], dtype=np.int64),
-        np.array([codes[r[5]] for r in records], dtype=np.int8),
+        np.array([r[0] for r in records], dtype=np.int64),
+        np.stack([r[1] for r in records], dtype=np.float64) if records else np.zeros((0, dim)),
+        np.array([r[2] for r in records], dtype=np.int64),
+        np.array([-1 if r[3] is None else r[3] for r in records], dtype=np.int64),
+        np.array([codes[r[4]] for r in records], dtype=np.int8),
         n_classes=n_classes, dim=dim)
 
 

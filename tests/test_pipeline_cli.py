@@ -517,6 +517,22 @@ class TestCliBoundaries:
         assert "malformed report" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("roles", [["cgp", "a/b"], ["../../../escaped"]])
+    def test_report_with_a_stage_role_it_never_writes(self, noisy_dataset, tmp_path, capsys,
+                                                      roles):
+        # A role becomes part of a file name, so an unchecked one could write outside the
+        # out dir, or fail after the files of the stages before it were written.
+        report = run_pipeline(small_config(), noisy_dataset, "baseline")
+        report["stages"] = [dict(report["stages"][0], role=role) for role in roles]
+        path, out = tmp_path / "bad.struct", tmp_path / "o"
+        path.write_text(report_to_json(report))
+        (out / "epochs_0_..").mkdir(parents=True)
+        code = main(["report", "--report", str(path), "--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {path}: malformed report: ValueError: "
+                                           f"stage role {roles[-1]!r} is not cgp, fgc or final\n")
+        assert sorted(tmp_path.rglob("*")) == [path, out, out / "epochs_0_.."]
+
     # Each size asks for at least 10**14 elements, which numpy refuses outright.
     @pytest.mark.parametrize("argv,field", [
         (["generate", "--intensity-high", "nan"], "intensity_high"),
