@@ -106,8 +106,6 @@ def apply_pruning(
                         for sid, mean in zip(newly, s_t[drop].tolist())]
     state.pruned_ids.update(newly)
     pruned[pos[drop]] = True
-    if not pruned.any():  # nothing leaves: the input is D3
-        return dataset, set()
     return dataset._take(np.flatnonzero(~pruned)), set(newly)
 
 

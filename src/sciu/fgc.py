@@ -17,8 +17,7 @@ only buffers a copy of the probability row, n_classes entries long; before
 their argmax, p_pred and p_gt written as one column each. The flush reads
 the two fields of the staged records with one list comprehension each:
 `zip(*records)` would make one iterator per record, thousands an epoch,
-enough to set off the cyclic collector dozens of times a run. The push and
-the decision look the epoch's ids up once between them (see `sciu.window`).
+enough to set off the cyclic collector dozens of times a run.
 
 τ enters only through the decisions: each `apply_corrections` narrows
 `CorrectionState.tau_range` to the [lo, hi) of τ′ that decide alike, `lo`
@@ -38,7 +37,6 @@ from .errors import ConfigurationError, LogicError, ValidationError
 from .window import RingWindows
 
 PROB_ROWS = {"weighted": "weighted_probs", "unweighted": "probs"}  # eval output by prob_source
-_FLOAT64 = np.dtype(np.float64)  # native: `record_prediction` need not convert such a row
 
 
 @dataclass
@@ -126,8 +124,7 @@ def record_prediction(
 ) -> None:
     """Store a row of `state.n_classes` probabilities as its argmax label (ties ->
     lowest index), that label's probability and that of `gt_label`, an integer."""
-    if not (type(probs) is np.ndarray and probs.dtype is _FLOAT64):
-        probs = np.asarray(probs, float)
+    probs = np.asarray(probs, float)
     k = state.n_classes
     if probs.shape != (k,):
         raise ValidationError(f"sample {sample_id}: probs shape {probs.shape} != ({k},)")

@@ -1,7 +1,8 @@
 """The benchmark's tools against this package: every name the tracer wraps
 (`perfbench/tracer.py`'s `WRAPPED`) exists, so a traced run can patch it; and
 `tools/bench_pairs.py` records each checkout's directory depth and warns when
-the two differ, and gives each metric its gain and bound verdicts.
+the two differ, gives each metric its gain and bound verdicts, and withholds a
+gain from a change that fails a larger share of its operations.
 
 Both scripts are loaded from their files; neither is a package.
 """
@@ -70,13 +71,30 @@ PARENT = [98, 99, 99, 100, 100, 100, 100, 101, 101, 102]
     ("lower", list(range(66, 166, 10)), "better 0/10  gain no  worse than bound unresolved"),
 ])
 def test_bench_pairs_verdicts(capsys, better, change, verdict):
-    bench_pairs = load(ROOT / "tools" / "bench_pairs.py")
     parent = list(range(60, 160, 10)) if verdict.endswith("unresolved") else PARENT
+    line = summary_lines(capsys, better, parent, change)["m"]
+    assert line.endswith("change " + verdict), line
+
+
+@pytest.mark.parametrize("failed, totals, gain", [
+    ((1, 1), "parent 10/30  change 10/30", "holds"),
+    ((0, 1), "parent 0/30  change 10/30  the change fails a larger share: no gain", "no"),
+], ids=["same-share", "larger-share"])
+def test_bench_pairs_withholds_a_gain_that_fails_more(capsys, failed, totals, gain):
+    lines = summary_lines(capsys, "lower", PARENT, [p - 3 for p in PARENT], failed)
+    assert lines["failed/attempted"].endswith(totals)
+    assert f"gain {gain}  " in lines["m"]
+
+
+def summary_lines(capsys, better, parent, change, failed=(0, 0)):
+    """`summarise`'s indented lines by their first word, for metric m over
+    one pair per (parent, change) value; each run attempts 3 operations and
+    fails `failed` of them (parent's, change's)."""
+    bench_pairs = load(ROOT / "tools" / "bench_pairs.py")
     runs = [{"workload": "w", "seed": k, "side": side,
-             "result": {"correct": True, "attempted": 3,
+             "result": {"correct": True, "attempted": 3, "failed": f,
                         "metrics": {"test_war_true": {"value": 0.5}, "m": {"value": v}}}}
             for k, pair in enumerate(zip(parent, change))
-            for side, v in zip(("parent", "change"), pair)]
+            for side, v, f in zip(("parent", "change"), pair, failed)]
     bench_pairs.summarise(runs, "w", [{"name": "m", "better": better, "bound": 0.05}])
-    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("  m "))
-    assert line.endswith("change " + verdict), line
+    return {l.split()[0]: l for l in capsys.readouterr().out.splitlines() if l.startswith("  ")}

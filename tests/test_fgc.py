@@ -90,8 +90,7 @@ class TestRecordPrediction:
         np.array([0.1, 0.7, 0.2], ">f8"),
     ], ids=["float32", "int", "list", "strided-float64", "big-endian"])
     def test_row_staged_as_native_float64(self, row):
-        # Only a native float64 ndarray skips the conversion; every other
-        # row is staged as the bytes of `np.asarray(row, float)`.
+        # Every row is staged as the bytes of `np.asarray(row, float)`.
         want = np.asarray(row, float)
         state = CorrectionState(tau=0.2, window=1, n_classes=3)
         record_prediction(state, 0, row, 2, epoch=0)

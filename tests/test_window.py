@@ -160,6 +160,17 @@ class TestPush:
         assert w.counts[rows[known]].tolist() == [2, 1, 2]
         assert w.mean("x", rows[[0, 3]]).tolist() == [2.5, 3.0]
 
+    def test_new_ids_below_known_ones_keep_rows_in_id_order(self):
+        w = self._windows()
+        w.push(np.array([9, 6, 4]), x=np.array([0.9, 0.6, 0.4]))
+        w.push(np.array([5, 2, 9]), x=np.array([0.5, 0.2, 1.9]))
+        assert w.row_ids.tolist() == [2, 4, 5, 6, 9]
+        assert w.counts.tolist() == [1, 1, 1, 1, 2]
+        rows, known = w.find(np.array([2, 4, 5, 6, 9]))
+        assert known.all()
+        assert w.buffers["x"][rows].tolist() == [
+            [0.2, 0.0], [0.4, 0.0], [0.5, 0.0], [0.6, 0.0], [0.9, 1.9]]
+
     def test_pending_entries_land_before_a_push(self):
         w = self._windows()
         w.add(1, 0.25)
@@ -188,10 +199,10 @@ class TestPush:
 
 
 class TestFindAgainstDict:
-    """`find` keeps its last ids and their rows. Random pushes, adds,
-    lookups, means and clears are checked against a dict-of-lists
-    reference: an id gets the next row when it first arrives and keeps it,
-    and holds the list of its entries since its last clear."""
+    """Random pushes, adds, lookups, means and clears are checked against a
+    dict-of-lists reference: rows are in id order, so an id's row is its
+    rank among the ids seen so far, and an id holds the list of its entries
+    since its last clear."""
 
     UNIVERSE = 40
 
@@ -215,13 +226,14 @@ class TestFindAgainstDict:
         rng = np.random.default_rng(seed)
         t = int(rng.integers(1, 4))
         w = RingWindows(t, lambda v: {"x": np.array(v, np.float64)}, x=np.float64)
-        row_of: dict[int, int] = {}
         entries: dict[int, list] = {}
         last = np.zeros(0, np.int64)
 
         def record(i, v):
-            row_of.setdefault(i, len(row_of))
             entries.setdefault(i, []).append(v)
+
+        def row_of(i):
+            return sorted(entries).index(i)
 
         for _ in range(250):
             ids = self._ids(rng, last)
@@ -240,14 +252,14 @@ class TestFindAgainstDict:
                 continue
             elif op == 2:
                 rows, known = w.find(ids)
-                assert known.tolist() == [i in row_of for i in ids.tolist()]
-                assert rows[known].tolist() == [row_of[i] for i in ids.tolist() if i in row_of]
-                rows[:], known[:] = 0, False  # the caller's arrays, not the kept ones
+                assert known.tolist() == [i in entries for i in ids.tolist()]
+                assert rows[known].tolist() == [row_of(i) for i in ids.tolist() if i in entries]
+                rows[:], known[:] = 0, False  # the caller's arrays, not the windows' state
             elif op == 3:
                 pos, rows = w.full_rows(ids)
                 want = [k for k, i in enumerate(ids.tolist()) if len(entries.get(i, ())) >= t]
                 assert pos.tolist() == want
-                assert rows.tolist() == [row_of[i] for i in ids[want].tolist()]
+                assert rows.tolist() == [row_of(i) for i in ids[want].tolist()]
                 assert w.mean("x", rows).tolist() == [
                     sum(entries[i][-t:]) / t for i in ids[want].tolist()]
             elif op == 4:
@@ -262,6 +274,6 @@ class TestFindAgainstDict:
                     other = np.setdiff1d(np.arange(self.UNIVERSE), ids)
                     ids[rng.integers(len(ids))] = rng.choice(other)
             last = ids
-            order = sorted(row_of, key=row_of.get)
+            order = sorted(entries)
             assert w.row_ids.tolist() == order
             assert w.counts.tolist() == [len(entries[i]) for i in order]

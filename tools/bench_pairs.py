@@ -8,13 +8,15 @@ workload and seed the script runs `perfbench/run.py --trace 0` once in each
 checkout, one right after the other, the parent first on even pairs and
 the change first on odd ones, so that a drift in machine speed falls on
 both sides alike. It prints each side's median number of attempted
-operations; in how many of the pairs whose sides attempted the same
-operations both sides read the same `test_war_true`; and, per end-to-end
-metric, each side's median [q1, q3] over the pairs, in how many pairs the
-change was better, whether that is a gain and whether the change is worse
-than the metric's `BENCHMARK.json` bound (see `verdicts`). It writes every
-run's last-line JSON with its seed and side, plus nproc, the numpy version
-and each checkout's commit (and whether its tree had uncommitted changes) and
+operations and its failed/attempted operations summed over the pairs; in
+how many of the pairs whose sides attempted the same operations both sides
+read the same `test_war_true`; and, per end-to-end metric, each side's
+median [q1, q3] over the pairs, in how many pairs the change was better,
+whether that is a gain and whether the change is worse than the metric's
+`BENCHMARK.json` bound (see `verdicts`). No gain holds when the change
+fails a larger share of its operations. It writes every run's last-line
+JSON with its seed and side, plus nproc, the numpy version and each
+checkout's commit (and whether its tree had uncommitted changes) and
 directory depth, to `--out`. It warns on stderr when the two checkouts sit at
 different depths: the path a run starts from has moved `sciu-run`'s `op_s` by
 2.7 %, so compare checkouts made side by side.
@@ -98,12 +100,14 @@ def verdicts(parent: list[float], change: list[float], better: str,
 
 
 def summarise(runs: list[dict], workload: str, metrics: list[dict]) -> None:
-    """Print each side's median attempted operations and, per metric, its
-    median [q1, q3] and the change's wins and `verdicts`. `test_war_true` is
-    a median over the operations a run attempted, each on its own pipeline
-    seed, so pairs whose sides attempted different numbers of operations are
-    counted, and of the others, those whose sides agree on it: all of them,
-    for a change that keeps every report byte-identical."""
+    """Print each side's median attempted operations, its failed/attempted
+    operations summed over the pairs and, per metric, its median [q1, q3]
+    and the change's wins and `verdicts`; a change that fails a larger share
+    of its operations has no gain. `test_war_true` is a median over the
+    operations a run attempted, each on its own pipeline seed, so pairs
+    whose sides attempted different numbers of operations are counted, and
+    of the others, those whose sides agree on it: all of them, for a change
+    that keeps every report byte-identical."""
     by_seed = {}
     for r in runs:
         if r["workload"] == workload and r["result"].get("correct"):
@@ -112,9 +116,15 @@ def summarise(runs: list[dict], workload: str, metrics: list[dict]) -> None:
     print(f"\n{workload}: {len(pairs)} complete pairs")
     same_ops = [p for p in pairs if p["parent"]["attempted"] == p["change"]["attempted"]]
     differ = len(pairs) - len(same_ops)
+    total = {s: [sum(p[s][k] for p in pairs) for k in ("failed", "attempted")] for s in SIDES}
+    (p_failed, p_ops), (c_failed, c_ops) = total["parent"], total["change"]
+    fails_more = c_failed * p_ops > p_failed * c_ops
     if pairs:
         print("  attempted (median)     " + "  ".join(
             f"{s} {statistics.median(p[s]['attempted'] for p in pairs):g}" for s in SIDES))
+        print("  failed/attempted       "
+              + "  ".join(f"{s} {f}/{a}" for s, (f, a) in total.items())
+              + ("  the change fails a larger share: no gain" if fails_more else ""))
         same_war = sum(len({p[s]["metrics"]["test_war_true"]["value"] for s in SIDES}) == 1
                        for p in same_ops)
         print(f"  test_war_true equal in {same_war}/{len(same_ops)} pairs that attempted "
@@ -125,6 +135,7 @@ def summarise(runs: list[dict], workload: str, metrics: list[dict]) -> None:
         cells = "  ".join("{} {:.4g} [{:.4g}, {:.4g}]".format(s, *quartiles(side[s]))
                           for s in SIDES)
         wins, gain, worse = verdicts(side["parent"], side["change"], m["better"], m["bound"])
+        gain = gain and not fails_more
         flag = (f"  different operation sets in {differ}/{len(pairs)} pairs"
                 if name == "test_war_true" and differ else "")
         print(f"  {name:<22} {cells}  change better {wins}/{len(pairs)}  "
