@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import QUALITY_CODES, QUALITY_LOW, save_dataset
+from .dataset import QUALITY_CODES, QUALITY_LOW, load_dataset, save_dataset
 from .errors import ConfigurationError, DegenerateRunError, NumericError, SciuError
 from .pipeline import (
     MODES, SWEEP_PARAMS, PipelineConfig, run_pipeline, sweep, sweep_to_csv, write_report,
@@ -92,7 +92,7 @@ def _cmd_run(args) -> int:
     config = _config_from_args(args)
     if args.out_dir:
         _check_output("--out-dir", args.out_dir, directory=True)
-    report = run_pipeline(config, args.dataset, CLI_MODES[args.mode])
+    report = run_pipeline(config, load_dataset(args.dataset), CLI_MODES[args.mode])
     if args.out_dir:
         write_report(report, args.out_dir)
         print(f"report written to {args.out_dir}/report.struct")
@@ -110,7 +110,7 @@ def _cmd_sweep(args) -> int:
     seeds = _parse_list("--seeds", args.seeds, int)
     if args.out:
         _check_output("--out", args.out)
-    result = sweep(config, args.param, values, args.dataset,
+    result = sweep(config, args.param, values, load_dataset(args.dataset),
                    mode=CLI_MODES[args.mode], seeds=seeds)
     print("stages: " + ", ".join(
         f"{stage} computed {n['computed']} reused {n['reused']}"
@@ -173,6 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if [] in vars(args).values():  # Python 3.11's argparse reads `--flag=--` as []
+        parser.error("an option's value cannot be '--'")
     try:
         # Every numeric failure raises a NumericError; numpy's warnings stay quiet.
         with np.errstate(all="ignore"):

@@ -48,11 +48,6 @@ class Sample:
     true_label: Optional[int] = None
     quality_flag: Optional[str] = None
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "features", np.asarray(self.features, dtype=np.float64)
-        )
-
 
 @dataclass(frozen=True)
 class CorrectionEvent:
@@ -80,11 +75,6 @@ class Columns(NamedTuple):
 _DTYPES = Columns(np.int64, np.float64, np.int64, np.int64, np.int8)
 _QUALITY_NAMES = {code: name for name, code in QUALITY_CODES.items()}
 _scan = json.JSONDecoder().scan_once  # json.loads' scanner: same settings, no wrappers
-
-
-def _readonly(column: np.ndarray) -> np.ndarray:
-    column.flags.writeable = False
-    return column
 
 
 def _check_record(sid, label, true_label, flag, shape: tuple, dim: int) -> None:
@@ -127,9 +117,11 @@ class Dataset:
         self.validate()
 
     def _set(self, n_classes: int, dim: int, columns: Columns) -> None:
+        for column in columns:
+            column.flags.writeable = False
         self.n_classes, self.dim = n_classes, dim
-        self._cols = Columns(*map(_readonly, columns))
-        self.id_array = self._cols.ids
+        self._cols = columns
+        self.id_array = columns.ids
 
     def _derive(self, **changed) -> "Dataset":
         """This dataset with the `changed` columns replaced (no validation)."""
@@ -198,7 +190,8 @@ class Dataset:
     @property
     def samples(self) -> list[Sample]:
         """The rows as `Sample`s, built on each access."""
-        return [Sample(*record) for record in self._records()]
+        return [Sample(sid, np.array(features), *rest)
+                for sid, features, *rest in self._records()]
 
     def features_matrix(self) -> np.ndarray:
         return self._cols.features

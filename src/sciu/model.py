@@ -144,14 +144,6 @@ def _weigh(model: SciuModel, emb: np.ndarray) -> tuple[np.ndarray, ...]:
     return hidden, np.maximum(e, pre_sig >= _ZERO) / (_ONE + e)
 
 
-def _forward(model: SciuModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Every layer over a batch: (emb, logits, hidden, w, wp), with
-    wp = softmax(w * logits). `backward_batch` reads all of them."""
-    emb, logits = _encode(model, x)
-    hidden, w = _weigh(model, emb)
-    return emb, logits, hidden, w, _softmax_rows(w[:, None] * logits)
-
-
 def row_max(z: np.ndarray) -> np.ndarray:
     """`z.max(axis=1)`, folded row by row over the transpose: numpy reduces
     short rows one by one, ~10x slower, and a max is exact in any order."""
@@ -211,8 +203,9 @@ def backward_batch(
     """Mean-loss gradients for every parameter, order matching parameters().
 
     Returns (grads, mean loss). The grads are views of `model.grad`, which
-    the next call overwrites. The forward half is `_forward`, the layers
-    `forward_batch` runs, and the gradient overwrites its arrays in place.
+    the next call overwrites. The forward half runs every layer `forward_batch`
+    runs (`_encode`, `_weigh`, `_softmax_rows`), and the gradient overwrites
+    their arrays in place.
     This is the training hot path: it leaves checking shapes and labels to
     `forward_batch`, `batch_loss` and the dataset.
     """
@@ -221,7 +214,9 @@ def backward_batch(
     n = features.shape[0]
     cls, hid, out = model.classifier, model.wb_hidden, model.wb_out
     g_enc_w, g_enc_b, g_cls_w, g_cls_b, g_hid_w, g_hid_b, g_out_w, g_out_b = model._grads
-    emb, logits, hidden, w, wp = _forward(model, features)
+    emb, logits = _encode(model, features)
+    hidden, w = _weigh(model, emb)
+    wp = _softmax_rows(w[:, None] * logits)
 
     # Each row's label prob, by its position in the flattened softmax; the
     # loss is the mean of -log p, and `0.0 -` keeps an all-zero sum +0.0.

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import Dataset, load_dataset, read_lines, stratified_split
+from .dataset import Dataset, read_lines, stratified_split
 from .errors import (
     ConfigurationError, DegenerateRunError, EvaluationError, NumericError, ParseError,
 )
@@ -133,12 +133,12 @@ def _final_test(model, test: Dataset) -> dict:
 
 def run_pipeline(
     config: PipelineConfig,
-    dataset: Dataset | str | Path,
+    dataset: Dataset,
     mode: str,
     *,
     memo: Optional[StageMemo] = None,
 ) -> dict:
-    """Run one experiment end to end and return its RunReport dict.
+    """Run one experiment end to end on a loaded `dataset`; return its RunReport dict.
 
     Each stage of `MODES[mode]`, then plain training, trains on the output
     of the one before, starting from the training split: baseline trains
@@ -149,8 +149,6 @@ def run_pipeline(
     config.validate()
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}, expected one of {tuple(MODES)}")
-    if not isinstance(dataset, Dataset):
-        dataset = load_dataset(dataset)
 
     train, test = stratified_split(dataset, config.train_fraction, config.seed)
     results: dict[str, StageResult] = {}
@@ -222,11 +220,11 @@ def sweep(
     config: PipelineConfig,
     parameter: str,
     values: list,
-    dataset: Dataset | str | Path,
+    dataset: Dataset,
     mode: str = "sciu",
     seeds: Optional[list[int]] = None,
 ) -> dict:
-    """Run the pipeline once per (value, seed) and tabulate median WAR/UAR.
+    """Run the pipeline once per (value, seed) on a loaded `dataset`; tabulate median WAR/UAR.
 
     A cell that degenerates or fails numerically is recorded as a failure
     marker; any other error (a value or seed the config rejects, say) ends
@@ -244,8 +242,6 @@ def sweep(
         seeds = [config.seed]
     if len(seeds) < 1:
         raise ConfigurationError("sweep needs at least one seed")
-    if not isinstance(dataset, Dataset):
-        dataset = load_dataset(dataset)
 
     memo = StageMemo()
     rows = []

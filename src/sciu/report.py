@@ -66,30 +66,25 @@ def summary_text(report: dict) -> str:
 def render_report(report_path: str | Path, out_dir: str | Path) -> list[Path]:
     """Emit all CSV sidecars and the text summary for one report file.
 
-    A report whose sections do not have the shape `run_pipeline` writes
-    raises `ParseError`.
+    Every file is rendered first and written only then, so a report whose
+    sections do not have the shape `run_pipeline` writes raises `ParseError`
+    and leaves nothing behind.
     """
     report = load_report(report_path)
     try:
-        return _render(report, Path(out_dir))
+        stages = report["stages"]
+        if bad := [f["role"] for f in stages if f["role"] not in ("cgp", "fgc", "final")]:
+            raise ValueError(f"stage role {bad[0]!r} is not cgp, fgc or final")
+        texts = {f"epochs_{i}_{frag['role']}.csv": epoch_csv(frag)
+                 for i, frag in enumerate(stages)}
+        ws = report.get("weight_summary")
+        if ws is not None:
+            texts["weight_histogram.csv"] = weight_histogram_csv(ws)
+        texts["confusion_matrix.csv"] = confusion_csv(report["final_test"]["confusion_matrix"])
+        texts["summary.txt"] = summary_text(report)
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise ParseError(f"{report_path}: malformed report: {type(e).__name__}: {e}") from e
-
-
-def _render(report: dict, out: Path) -> list[Path]:
-    """Render every file first and write them only then, so a malformed
-    report leaves nothing behind."""
-    if bad := [f["role"] for f in report["stages"] if f["role"] not in ("cgp", "fgc", "final")]:
-        raise ValueError(f"stage role {bad[0]!r} is not cgp, fgc or final")
-    texts = {
-        f"epochs_{i}_{frag['role']}.csv": epoch_csv(frag)
-        for i, frag in enumerate(report["stages"])
-    }
-    ws = report.get("weight_summary")
-    if ws is not None:
-        texts["weight_histogram.csv"] = weight_histogram_csv(ws)
-    texts["confusion_matrix.csv"] = confusion_csv(report["final_test"]["confusion_matrix"])
-    texts["summary.txt"] = summary_text(report)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():
         (out / name).write_text(text)

@@ -2,7 +2,7 @@
 (`perfbench/tracer.py`'s `WRAPPED`) exists, so a traced run can patch it; and
 `tools/bench_pairs.py` records each checkout's directory depth and warns when
 the two differ, gives each metric its gain and bound verdicts, and withholds a
-gain from a change that fails a larger share of its operations.
+gain from a change that fails a larger share of its operations or more runs.
 
 Both scripts are loaded from their files; neither is a package.
 """
@@ -86,15 +86,32 @@ def test_bench_pairs_withholds_a_gain_that_fails_more(capsys, failed, totals, ga
     assert f"gain {gain}  " in lines["m"]
 
 
-def summary_lines(capsys, better, parent, change, failed=(0, 0)):
+@pytest.mark.parametrize("broken, failed_runs, gain", [
+    ("parent", "parent 1  change 0", "holds"),
+    ("change", "parent 0  change 1  the change fails more runs: no gain", "no"),
+], ids=["parent-run-fails", "change-run-fails"])
+def test_bench_pairs_withholds_a_gain_past_a_failed_change_run(capsys, broken, failed_runs,
+                                                               gain):
+    """A failed run drops its pair: the other nine pairs show a gain, which
+    holds only when the change side failed no more runs than the parent."""
+    lines = summary_lines(capsys, "lower", PARENT, [p - 3 for p in PARENT], broken=broken)
+    assert lines["failed"] == "  failed runs            " + failed_runs
+    assert lines["failed/attempted"].endswith("parent 0/27  change 0/27")
+    assert f"change better 9/9  gain {gain}  " in lines["m"]
+
+
+def summary_lines(capsys, better, parent, change, failed=(0, 0), broken=None):
     """`summarise`'s indented lines by their first word, for metric m over
     one pair per (parent, change) value; each run attempts 3 operations and
-    fails `failed` of them (parent's, change's)."""
+    fails `failed` of them (parent's, change's). The `broken` side's last run
+    fails as a whole: its last line is not `correct`."""
     bench_pairs = load(ROOT / "tools" / "bench_pairs.py")
     runs = [{"workload": "w", "seed": k, "side": side,
              "result": {"correct": True, "attempted": 3, "failed": f,
                         "metrics": {"test_war_true": {"value": 0.5}, "m": {"value": v}}}}
             for k, pair in enumerate(zip(parent, change))
             for side, v, f in zip(("parent", "change"), pair, failed)]
+    if broken:
+        next(r for r in reversed(runs) if r["side"] == broken)["result"] = {"correct": False}
     bench_pairs.summarise(runs, "w", [{"name": "m", "better": better, "bound": 0.05}])
     return {l.split()[0]: l for l in capsys.readouterr().out.splitlines() if l.startswith("  ")}

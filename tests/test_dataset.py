@@ -343,10 +343,10 @@ class TestLoadErrors:
         path = tmp_path / "d.jsonl"
         save_dataset(make_dataset(6), path)
 
-        def refuse(self):
+        def refuse(self, *args, **kwargs):
             raise AssertionError("load_dataset built a Sample")
 
-        monkeypatch.setattr(Sample, "__post_init__", refuse)
+        monkeypatch.setattr(Sample, "__init__", refuse)
         assert load_dataset(path).ids == list(range(6))
 
     def test_record_not_an_object(self, tmp_path):

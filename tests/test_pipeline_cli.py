@@ -485,6 +485,27 @@ class TestCliBoundaries:
         assert code == 2
         assert err == f"error: {missing}: cannot read: No such file or directory\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--mode", "sciu"], ["sweep", "--param", "tau", "--values", "0.2"],
+    ], ids=["run", "sweep"])
+    def test_missing_dataset_before_bad_config(self, tmp_path, capsys, argv):
+        """The CLI reads the dataset before the pipeline checks its config."""
+        missing = tmp_path / "none.jsonl"
+        code = main(argv + ["--dataset", str(missing), "--lambda", "5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {missing}: cannot read: No such file or directory\n"
+
+    @pytest.mark.parametrize("flag", ["--seeds=--", "--values=--", "--dataset=--", "--mode=--",
+                                      "--epochs=--"])
+    def test_option_value_of_two_dashes(self, dataset_file, capsys, flag):
+        # Python 3.11's argparse passed these on as an empty list: a traceback.
+        with pytest.raises(SystemExit) as e:
+            main(["sweep", "--dataset", str(dataset_file), "--param", "tau", "--values", "0.2",
+                  flag])
+        assert e.value.code == 2
+        assert capsys.readouterr().err.endswith("error: an option's value cannot be '--'\n")
+
     def test_report_missing_file(self, tmp_path, capsys):
         code = main(["report", "--report", str(tmp_path / "none.struct"),
                      "--out-dir", str(tmp_path / "out")])
@@ -851,6 +872,7 @@ class TestRunAndSweepFlags:
             return {"rows": [], "stages": {}, "best_value": None}
 
         monkeypatch.setattr("sciu.cli.sweep", fake_sweep)
+        monkeypatch.setattr("sciu.cli.load_dataset", lambda path: None)
         assert main(["sweep", "--dataset", "d.jsonl", "--param", param,
                      "--values", values]) == 0
         assert seen["values"] == want
